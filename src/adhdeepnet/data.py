@@ -38,6 +38,8 @@ class PlanningError(RuntimeError):
 
 @dataclass
 class EegRecording:
+    """One subject's 19-channel recording; every sample must be finite."""
+
     subject_id: str
     samples: np.ndarray  # [19, p] float32 microvolts
     label: str
@@ -49,6 +51,14 @@ class EegRecording:
             raise IngestionError(
                 f"{self.subject_id}: expected {len(CHANNELS)} channels, got "
                 f"shape {self.samples.shape}")
+        bad = np.argwhere(~np.isfinite(self.samples))
+        if len(bad):
+            channel, index = bad[0]
+            raise IngestionError(
+                f"{self.subject_id}: non-finite sample "
+                f"{self.samples[channel, index]} on channel "
+                f"{CHANNELS[channel]} at sample {index} "
+                f"({len(bad)} non-finite in all)")
         if self.fs != FS:
             raise IngestionError(
                 f"{self.subject_id}: only fs={FS} supported, got {self.fs}")

@@ -11,15 +11,23 @@ each op returns a new Tensor holding a backward closure plus references to
 its parents. ``backward()`` on a scalar tensor walks the graph once in
 reverse topological order and accumulates gradients on every tensor that
 requires them.
+
+All convolutions share one primitive that correlates along time by rFFT
+and contracts channels and height taps in one einsum; one-sample-wide
+kernels skip the transform. The rFFT sums in another order than a direct
+sum, so results differ from one in the last float bits, while a given
+version of the code still reproduces its own results bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+from scipy import fft as sfft
 
 
 class ShapeError(ValueError):
@@ -400,12 +408,95 @@ def _conv_geometry(h, w, kh, kw, padding):
     return ph, pw, ho, wo
 
 
-def _im2col(xp, kh, kw, ho, wo):
-    """Patches of padded input xp [N,C,Hp,Wp] -> [N*ho*wo, C*kh*kw] (copy)."""
-    n, c = xp.shape[:2]
-    s0, s1, s2, s3 = xp.strides
-    view = as_strided(xp, (n, ho, wo, c, kh, kw), (s0, s2, s3, s1, s2, s3))
-    return np.ascontiguousarray(view).reshape(n * ho * wo, c * kh * kw)
+def _contract(a_sub, b_sub, out_sub, a, b):
+    # numpy's optimizer runs a plain matrix product on BLAS and a plain
+    # broadcast product fast, but for a sum along labels batched across both
+    # operands it copies both into matmul layout: the C loop is faster there
+    extent = dict(zip(a_sub + b_sub, a.shape + b.shape))
+    batched = set(a_sub) & set(b_sub) & set(out_sub)
+    summed = any(extent[label] > 1
+                 for label in set(a_sub + b_sub) - set(out_sub))
+    return np.einsum(f"{a_sub},{b_sub}->{out_sub}", a, b,
+                     optimize=not (batched and summed))
+
+
+def _time_conv(x, kernel, padding, spec):
+    """Cross-correlation over height taps and time, shared by every conv op.
+
+    ``spec`` is the einsum for one output element. Input windows are indexed
+    (..., output row h, height tap a, time w), the kernel (..., a, w) and
+    the output (..., h, w); a full convolution is ``"nchaw,fcaw->nfhw"``.
+    The output is returned as [N, -1, H', W'].
+
+    Along time the correlation runs in the rFFT domain (Mathieu, Henaff &
+    LeCun, arXiv:1312.5851). The padded input is transformed at a length no
+    shorter than its padded span, so nothing wraps, contracted with the
+    conjugate kernel spectrum and transformed back. A kernel one sample
+    wide skips the transform and the same contraction runs on real data.
+
+    Backward recomputes the spectra rather than keeping them on the tape.
+    The kernel gradient is irfft(X conj(G)) cut to the kernel width. The
+    input gradient is irfft(G K) over the padded span, each height tap's
+    rows added in at its offset; it is computed only when x requires a
+    gradient.
+    """
+    n, c, h, w = x.shape
+    kh, kw = kernel.shape[2:]
+    ph, pw, ho, wo = _conv_geometry(h, w, kh, kw, padding)
+    x_sub, k_sub, o_sub = spec.replace("->", ",").split(",")
+    if kw == 1:
+        k_sub = k_sub.replace("w", "")
+        nfft = None
+    else:
+        nfft = sfft.next_fast_len(w + pw[0] + pw[1], real=True)
+
+    def spectrum(a):
+        return a if nfft is None else sfft.rfft(a, n=nfft, axis=-1)
+
+    def taps():
+        return kernel.data[..., 0] if nfft is None else spectrum(kernel.data)
+
+    def x_windows():  # read-only [N, C, H', kh, time] view of the padded x
+        xp = x.data
+        if any(ph) or pw[0]:
+            # the right time padding is the zero tail the transform adds
+            xp = np.pad(xp, ((0, 0), (0, 0), ph, (pw[0], 0)))
+        xp = spectrum(xp)
+        st = xp.strides
+        return as_strided(xp, (n, c, ho, kh, xp.shape[-1]),
+                          (*st[:3], st[2], st[3]), writeable=False)
+
+    grouped = _contract(x_sub, k_sub, o_sub, x_windows(), taps().conj())
+    if nfft is not None:
+        grouped = sfft.irfft(grouped, n=nfft, axis=-1)[..., :wo]
+    grouped_shape = grouped.shape
+    # a compact copy, so the tape holds the output, not the transform buffer
+    out = np.ascontiguousarray(grouped).reshape(n, -1, ho, wo)
+
+    def backward(g):
+        gs = spectrum(g.reshape(grouped_shape))
+        # sum X conj(G) = conj(sum conj(X) G); in the model the x spectrum
+        # is never the larger operand, so conjugating it copies less
+        dk = _contract(x_sub, o_sub, k_sub, x_windows().conj(), gs).conj()
+        if nfft is None:
+            dk = dk[..., None]
+        else:
+            dk = sfft.irfft(dk, n=nfft, axis=-1)[..., :kw]
+        if not x.requires_grad:
+            return None, dk
+        rows = _contract(o_sub, k_sub, x_sub, gs, taps())
+        if ho == 1 or kh == 1:  # no two taps reach the same input row
+            dxp = rows.reshape(n, c, -1, rows.shape[-1])
+        else:
+            dxp = np.zeros((n, c, h + ph[0] + ph[1], rows.shape[-1]),
+                           rows.dtype)
+            for a in range(kh):
+                dxp[:, :, a:a + ho] += rows[:, :, :, a]
+        if nfft is not None:
+            dxp = sfft.irfft(dxp, n=nfft, axis=-1)
+        return dxp[:, :, ph[0]:ph[0] + h, pw[0]:pw[0] + w], dk
+
+    return Tensor._from_op(out, (x, kernel), backward)
 
 
 def conv2d(x: Tensor, kernel: Tensor, padding="valid") -> Tensor:
@@ -413,50 +504,11 @@ def conv2d(x: Tensor, kernel: Tensor, padding="valid") -> Tensor:
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(
             f"conv2d needs 4-d input and kernel, got {x.shape} and {kernel.shape}")
-    n, c, h, w = x.shape
-    f, ck, kh, kw = kernel.shape
+    c, ck = x.shape[1], kernel.shape[1]
     if ck != c:
         raise ShapeError(
             f"conv2d channel mismatch: input has {c} channels, kernel expects {ck}")
-    ph, pw, ho, wo = _conv_geometry(h, w, kh, kw, padding)
-
-    if kh == 1 and kw == 1 and padding in ("same", "valid"):
-        # pointwise: pure channel mixing, no patch extraction needed
-        xm = x.data.transpose(0, 2, 3, 1).reshape(-1, c)
-        out = (xm @ kernel.data.reshape(f, c).T).reshape(n, h, w, f)
-        out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-
-        def backward_pw(g):
-            gm = g.transpose(0, 2, 3, 1).reshape(-1, f)
-            dx = (gm @ kernel.data.reshape(f, c)).reshape(n, h, w, c)
-            dk = (gm.T @ xm).reshape(f, c, 1, 1)
-            return np.ascontiguousarray(dx.transpose(0, 3, 1, 2)), dk
-
-        return Tensor._from_op(out, (x, kernel), backward_pw)
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), ph, pw))
-    cols = _im2col(xp, kh, kw, ho, wo)
-    wmat = kernel.data.reshape(f, c * kh * kw)
-    out = (cols @ wmat.T).reshape(n, ho, wo, f)
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-
-    def backward(g):
-        gm = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
-        # columns are rebuilt rather than saved: trades one extra copy for
-        # not holding kernel-width-times-input memory across the whole pass
-        xp2 = np.pad(x.data, ((0, 0), (0, 0), ph, pw))
-        cols2 = _im2col(xp2, kh, kw, ho, wo)
-        dk = (gm.T @ cols2).reshape(f, c, kh, kw)
-        dcols = gm @ wmat  # [n*ho*wo, c*kh*kw]
-        dxp = np.zeros_like(xp2)
-        dcols = dcols.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i:i + ho, j:j + wo] += dcols[:, :, i, j]
-        dx = dxp[:, :, ph[0]:ph[0] + h, pw[0]:pw[0] + w]
-        return dx, dk
-
-    return Tensor._from_op(out, (x, kernel), backward)
+    return _time_conv(x, kernel, padding, "nchaw,fcaw->nfhw")
 
 
 def depthwise_conv2d(x: Tensor, kernel: Tensor, padding="valid") -> Tensor:
@@ -469,39 +521,12 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, padding="valid") -> Tensor:
         raise ShapeError(
             f"depthwise_conv2d needs 4-d input and kernel, got {x.shape} and "
             f"{kernel.shape}")
-    n, c, h, w = x.shape
-    ck, d, kh, kw = kernel.shape
+    c, ck = x.shape[1], kernel.shape[0]
     if ck != c:
         raise ShapeError(
             f"depthwise_conv2d channel mismatch: input has {c} channels, "
             f"kernel has {ck} groups")
-    ph, pw, ho, wo = _conv_geometry(h, w, kh, kw, padding)
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), ph, pw))
-    out = np.zeros((n, c, d, ho, wo), dtype=x.dtype)
-    # tap loop keeps memory at O(input) even for wide kernels
-    for i in range(kh):
-        for j in range(kw):
-            window = xp[:, :, i:i + ho, j:j + wo]
-            out += kernel.data[None, :, :, i, j, None, None] * window[:, :, None]
-    out = out.reshape(n, c * d, ho, wo)
-
-    def backward(g):
-        gg = g.reshape(n, c, d, ho, wo)
-        xp2 = np.pad(x.data, ((0, 0), (0, 0), ph, pw))
-        dk = np.zeros_like(kernel.data)
-        dxp = np.zeros_like(xp2)
-        for i in range(kh):
-            for j in range(kw):
-                window = xp2[:, :, i:i + ho, j:j + wo]
-                dk[:, :, i, j] = np.einsum("nchw,ncdhw->cd", window, gg,
-                                           optimize=True)
-                dxp[:, :, i:i + ho, j:j + wo] += np.einsum(
-                    "cd,ncdhw->nchw", kernel.data[:, :, i, j], gg, optimize=True)
-        dx = dxp[:, :, ph[0]:ph[0] + h, pw[0]:pw[0] + w]
-        return dx, dk
-
-    return Tensor._from_op(out, (x, kernel), backward)
+    return _time_conv(x, kernel, padding, "nchaw,cdaw->ncdhw")
 
 
 def separable_conv2d(x: Tensor, depth_kernel: Tensor, point_kernel: Tensor,
@@ -679,24 +704,53 @@ def save_tensors(path, named_arrays):
 
 
 def load_tensors(path):
-    """Read the weight container back into an ordered name->array dict."""
-    out = {}
+    """Read the weight container back into an ordered name->array dict.
+
+    Every length read is checked against the bytes left, so a file that is
+    cut short, corrupt or followed by trailing bytes raises ValueError
+    naming the file.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"not a weight file: bad magic {magic!r}")
-        version = struct.unpack("<I", fh.read(4))[0]
-        if version != _VERSION:
-            raise ValueError(f"unsupported weight file version {version}")
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            name_len = struct.unpack("<I", head)[0]
-            name = fh.read(name_len).decode("utf-8")
-            rank = struct.unpack("<I", fh.read(4))[0]
-            dims = struct.unpack(f"<{rank}I", fh.read(4 * rank)) if rank else ()
-            count = int(np.prod(dims)) if dims else 1
-            data = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(dims)
-            out[name] = data.astype(np.float32)
+        raw = fh.read()
+    pos = 0
+
+    def take(count, what):
+        nonlocal pos
+        if count > len(raw) - pos:
+            raise ValueError(
+                f"{path}: weight file truncated: {what} needs {count} bytes "
+                f"at offset {pos}, {len(raw) - pos} left")
+        pos += count
+        return raw[pos - count:pos]
+
+    def uint(what):
+        return struct.unpack("<I", take(4, what))[0]
+
+    magic = raw[:4]
+    if magic != _MAGIC:
+        raise ValueError(f"{path}: not a weight file: bad magic {magic!r}")
+    pos = 4
+    version = uint("version")
+    if version != _VERSION:
+        raise ValueError(f"{path}: unsupported weight file version {version}")
+    out = {}
+    while pos < len(raw):
+        encoded = take(uint("name length"), "name")
+        try:
+            name = encoded.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ValueError(
+                f"{path}: tensor name at offset {pos - len(encoded)} is not "
+                f"UTF-8") from err
+        if name in out:
+            raise ValueError(f"{path}: tensor {name!r} stored twice")
+        rank = uint(f"{name}: rank")
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"{name}: shape"))
+        payload = take(4 * math.prod(dims), f"{name}: data")
+        try:
+            data = np.frombuffer(payload, dtype="<f4").reshape(dims)
+        except ValueError as err:  # e.g. a zero dim beside a huge one
+            raise ValueError(
+                f"{path}: tensor {name!r} has unusable shape {dims}") from err
+        out[name] = data.astype(np.float32)
     return out

@@ -48,3 +48,65 @@ def check_gradients(forward, arrays, h=1e-3, tol=1e-4):
 def probe_weights(shape, seed=0):
     """Fixed random projection so a scalar loss exercises every output."""
     return np.random.default_rng(seed).standard_normal(shape)
+
+
+def _pad(x, kh, kw, padding):
+    if padding == "valid":
+        return x
+    lo_h, lo_w = (kh - 1) // 2, (kw - 1) // 2
+    return np.pad(x, ((0, 0), (0, 0), (lo_h, kh - 1 - lo_h),
+                      (lo_w, kw - 1 - lo_w)))
+
+
+def _crop(xp, shape, kh, kw, padding):
+    top, left = ((kh - 1) // 2, (kw - 1) // 2) if padding == "same" else (0, 0)
+    return xp[:, :, top:top + shape[2], left:left + shape[3]]
+
+
+def conv2d_oracle(x, k, padding, g):
+    """Direct-sum float64 cross-correlation of x [N,C,H,W] with k [F,C,kh,kw].
+
+    Returns the output and the input and kernel gradients for the output
+    gradient ``g``, summing tap by tap in the order of the definition.
+    """
+    x, k, g = (np.asarray(a, np.float64) for a in (x, k, g))
+    kh, kw = k.shape[2:]
+    xp = _pad(x, kh, kw, padding)
+    ho, wo = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    out = np.zeros((x.shape[0], k.shape[0], ho, wo))
+    dxp = np.zeros_like(xp)
+    dk = np.zeros_like(k)
+    for i in range(kh):
+        for j in range(kw):
+            window = xp[:, :, i:i + ho, j:j + wo]
+            out += np.einsum("nchw,fc->nfhw", window, k[:, :, i, j])
+            dk[:, :, i, j] = np.einsum("nchw,nfhw->fc", window, g)
+            dxp[:, :, i:i + ho, j:j + wo] += np.einsum("nfhw,fc->nchw", g,
+                                                       k[:, :, i, j])
+    return out, _crop(dxp, x.shape, kh, kw, padding), dk
+
+
+def depthwise_oracle(x, k, padding, g):
+    """Tap-loop float64 depthwise correlation, x [N,C,H,W], k [C,D,kh,kw].
+
+    Output channels are channel-major (c*D + d). Returns the output and the
+    input and kernel gradients for the output gradient ``g``.
+    """
+    x, k, g = (np.asarray(a, np.float64) for a in (x, k, g))
+    n, c = x.shape[:2]
+    d, kh, kw = k.shape[1:]
+    xp = _pad(x, kh, kw, padding)
+    ho, wo = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    gg = g.reshape(n, c, d, ho, wo)
+    out = np.zeros((n, c, d, ho, wo))
+    dxp = np.zeros_like(xp)
+    dk = np.zeros_like(k)
+    for i in range(kh):
+        for j in range(kw):
+            window = xp[:, :, i:i + ho, j:j + wo]
+            out += k[None, :, :, i, j, None, None] * window[:, :, None]
+            dk[:, :, i, j] = np.einsum("nchw,ncdhw->cd", window, gg)
+            dxp[:, :, i:i + ho, j:j + wo] += np.einsum("cd,ncdhw->nchw",
+                                                       k[:, :, i, j], gg)
+    return (out.reshape(n, c * d, ho, wo),
+            _crop(dxp, x.shape, kh, kw, padding), dk)

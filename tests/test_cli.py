@@ -7,10 +7,12 @@ command under a few seconds.
 
 import json
 
+import numpy as np
 import pytest
 
 from adhdeepnet import cli
 from adhdeepnet.data import load_dataset, segment_all
+from adhdeepnet.tensor import save_tensors
 
 TINY_MODEL = [
     "--preset", "desk",
@@ -80,6 +82,20 @@ def test_evaluate_writes_report_and_weights(dataset_dir, tmp_path):
     assert (out / "fold_01.weights").exists()
     text = (out / "report.txt").read_text()
     assert "mean" in text and "mode=no-da" in text
+
+
+def test_evaluate_rejects_cohort_with_nan_sample(dataset_dir, tmp_path,
+                                                 capsys):
+    manifest = json.loads((dataset_dir / "manifest.json").read_text())
+    entry = manifest["subjects"][1]
+    path = dataset_dir / entry["path"]
+    samples = np.fromfile(path, dtype="<f4").reshape(19, -1)
+    samples[3, 100] = np.nan
+    path.write_bytes(samples.tobytes())
+    code = run_cli(*evaluate_args(dataset_dir, tmp_path / "eval"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert entry["subject_id"] in err and "C3" in err and "100" in err
 
 
 def test_rerun_from_persisted_config_is_byte_identical(dataset_dir,
@@ -168,6 +184,18 @@ def test_explain_requires_weights(dataset_dir, tmp_path, capsys):
                    str(tmp_path / "x"), *TINY_MODEL)
     assert code == 1
     assert "--weights" in capsys.readouterr().err
+
+
+def test_explain_truncated_weights_is_user_error(dataset_dir, tmp_path,
+                                                capsys):
+    weights = tmp_path / "model.weights"
+    save_tensors(weights, {"param:w": np.ones(4, np.float32)})
+    weights.write_bytes(weights.read_bytes()[:-3])
+    code = run_cli("explain", "--weights", str(weights), "--data",
+                   str(dataset_dir), "--out", str(tmp_path / "x"),
+                   *TINY_MODEL)
+    assert code == 1
+    assert "model.weights" in capsys.readouterr().err
 
 
 # -- tune --------------------------------------------------------------------

@@ -43,6 +43,14 @@ def test_recording_rejects_bad_label():
         EegRecording("s1", np.zeros((19, 600), np.float32), "adhd")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_recording_rejects_non_finite_sample(bad):
+    samples = np.zeros((19, 1024), np.float32)
+    samples[4, 700] = bad
+    with pytest.raises(IngestionError, match=r"s1: non-finite.*T3.*700"):
+        EegRecording("s1", samples, "ADHD")
+
+
 # -- segmentation ---------------------------------------------------------------
 
 

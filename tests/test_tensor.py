@@ -13,7 +13,8 @@ from adhdeepnet.tensor import (GraphError, ShapeError, Tensor, avg_pool,
                                save_tensors, separable_conv2d, sigmoid,
                                softmax)
 
-from conftest import check_gradients, probe_weights
+from conftest import (check_gradients, conv2d_oracle, depthwise_oracle,
+                      probe_weights)
 
 
 # -- matmul -------------------------------------------------------------------
@@ -276,6 +277,92 @@ def test_separable_gradcheck():
         lambda ts: (separable_conv2d(ts[0], ts[1], ts[2], padding="same")
                     * Tensor(w, dtype=np.float64)).sum(),
         [x, dk, pk])
+
+
+# -- convolution against float64 oracles on the model's shapes ---------------------
+
+# float32 sums over up to ~10^4 products, reordered by the rFFT, against a
+# float64 direct sum of the same float32 inputs: relative to the largest
+# reference magnitude the error stays below 1e-5 (about 84 float32 eps)
+ORACLE_RTOL = 1e-5
+
+MODEL_CONVS = [
+    # (op, input shape, kernel shape, padding)
+    ("conv2d", (2, 1, 19, 512), (64, 1, 1, 64), "same"),      # full temporal
+    ("conv2d", (2, 1, 19, 512), (8, 1, 1, 32), "same"),       # desk temporal
+    ("depthwise", (2, 64, 19, 512), (64, 2, 19, 1), "valid"),  # spatial
+    ("conv2d", (2, 128, 1, 256), (72, 128, 1, 1), "valid"),   # pointwise
+    ("depthwise", (2, 72, 1, 256), (72, 1, 1, 128), "same"),  # full branches
+    ("depthwise", (2, 72, 1, 256), (72, 1, 1, 256), "same"),
+    ("depthwise", (2, 288, 1, 256), (288, 1, 1, 64), "same"),  # full post_sep
+    ("depthwise", (2, 32, 1, 256), (32, 1, 1, 8), "same"),    # desk kernels
+    ("depthwise", (2, 32, 1, 256), (32, 1, 1, 16), "same"),
+]
+
+CONV_OPS = {"conv2d": (conv2d, conv2d_oracle),
+            "depthwise": (depthwise_conv2d, depthwise_oracle)}
+
+
+@pytest.mark.parametrize("op,x_shape,k_shape,padding", MODEL_CONVS)
+def test_conv_matches_float64_oracle_on_model_shapes(op, x_shape, k_shape,
+                                                     padding):
+    fn, oracle = CONV_OPS[op]
+    rng = np.random.default_rng(sum(x_shape) + sum(k_shape))
+    x = Tensor(rng.standard_normal(x_shape).astype(np.float32),
+               requires_grad=True)
+    k = Tensor((0.1 * rng.standard_normal(k_shape)).astype(np.float32),
+               requires_grad=True)
+    out = fn(x, k, padding=padding)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    dx, dk = out._backward_fn(g)
+    ref_out, ref_dx, ref_dk = oracle(x.data, k.data, padding, g)
+    for got, ref in ((out.data, ref_out), (dx, ref_dx), (dk, ref_dk)):
+        assert got.dtype == np.float32
+        assert got.shape == ref.shape
+        rel = np.abs(got - ref).max() / np.abs(ref).max()
+        assert rel < ORACLE_RTOL, rel
+
+
+def test_conv2d_multichannel_time_kernel_gradcheck():
+    rng = np.random.default_rng(24)
+    x = rng.standard_normal((2, 3, 1, 9))
+    k = rng.standard_normal((4, 3, 1, 5))
+    w = probe_weights((2, 4, 1, 9), seed=13)
+    check_gradients(
+        lambda ts: (conv2d(ts[0], ts[1], padding="same")
+                    * Tensor(w, dtype=np.float64)).sum(),
+        [x, k])
+
+
+def test_depthwise_full_height_valid_gradcheck():
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((2, 2, 4, 5))
+    k = rng.standard_normal((2, 3, 4, 1))
+    w = probe_weights((2, 6, 1, 5), seed=14)
+    check_gradients(
+        lambda ts: (depthwise_conv2d(ts[0], ts[1], padding="valid")
+                    * Tensor(w, dtype=np.float64)).sum(),
+        [x, k])
+
+
+@pytest.mark.parametrize("op,k_shape", [("conv2d", (3, 2, 1, 4)),
+                                        ("conv2d", (3, 2, 1, 1)),
+                                        ("depthwise", (2, 2, 1, 4)),
+                                        ("depthwise", (2, 2, 3, 1))])
+def test_conv_skips_input_gradient_without_requires_grad(op, k_shape):
+    fn, oracle = CONV_OPS[op]
+    rng = np.random.default_rng(26)
+    x = Tensor(rng.standard_normal((2, 2, 3, 8)))
+    k = Tensor(rng.standard_normal(k_shape), requires_grad=True)
+    out = fn(x, k, padding="same")
+    g = rng.standard_normal(out.shape)
+    dx, dk = out._backward_fn(g)
+    assert dx is None
+    np.testing.assert_allclose(dk, oracle(x.data, k.data, "same", g)[2],
+                               rtol=1e-10, atol=1e-10)
+    (out * Tensor(g)).sum().backward()
+    assert x.grad is None
+    np.testing.assert_allclose(k.grad, dk)
 
 
 # -- batch norm ---------------------------------------------------------------------
@@ -583,3 +670,54 @@ def test_weight_file_header_layout(tmp_path):
     assert raw[13:17] == (1).to_bytes(4, "little")        # rank
     assert raw[17:21] == (2).to_bytes(4, "little")        # dim 0
     assert raw[21:] == np.array([1.5, -2.0], "<f4").tobytes()
+
+
+@pytest.fixture(scope="module")
+def weight_file(tmp_path_factory):
+    named = {"conv/kernel": np.arange(12, dtype=np.float32).reshape(2, 3, 2),
+             "bias": np.array([0.5, -1.5], dtype=np.float32),
+             "scale": np.float32(2.0).reshape(())}
+    path = tmp_path_factory.mktemp("weights") / "w.adnw"
+    save_tensors(path, named)
+    # offsets where a record ends: a cut there leaves a shorter valid file
+    ends, offset = [8], 8
+    for name, arr in named.items():
+        offset += 4 + len(name) + 4 + 4 * arr.ndim + 4 * arr.size
+        ends.append(offset)
+    return named, path.read_bytes(), ends
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut=st.integers(min_value=0))
+def test_truncated_weight_file_raises_value_error(weight_file, tmp_path_factory,
+                                                  cut):
+    named, raw, ends = weight_file
+    cut %= len(raw)
+    path = tmp_path_factory.mktemp("cut") / "w.adnw"
+    path.write_bytes(raw[:cut])
+    if cut in ends:
+        loaded = load_tensors(path)
+        assert list(loaded) == list(named)[:ends.index(cut)]
+        return
+    with pytest.raises(ValueError, match="w.adnw"):
+        load_tensors(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(offset=st.integers(min_value=0), value=st.integers(0, 255),
+       extra=st.binary(min_size=1, max_size=3))
+def test_corrupt_weight_file_loads_or_raises_value_error(
+        weight_file, tmp_path_factory, offset, value, extra):
+    _, raw, _ = weight_file
+    corrupt = bytearray(raw)
+    corrupt[offset % len(raw)] = value
+    path = tmp_path_factory.mktemp("corrupt") / "w.adnw"
+    path.write_bytes(bytes(corrupt))
+    try:
+        load_tensors(path)
+    except ValueError as err:
+        assert "w.adnw" in str(err)
+    # fewer than four trailing bytes can never form a record
+    path.write_bytes(raw + extra)
+    with pytest.raises(ValueError, match="w.adnw"):
+        load_tensors(path)
