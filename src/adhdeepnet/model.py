@@ -131,8 +131,34 @@ class InXceptionBlock(nn.Layer):
         return tz.concat(outputs, axis=1)
 
 
+# Every model opens with these three stages. Model.forward runs them as one
+# spatial-first step (tensor.spatial_first_stem) named after the last, so
+# the first two have no activations of their own to capture.
+STEM = ("temporal_conv", "bn1", "spatial_depthwise")
+
+
+class SpatialFirstStem:
+    """The STEM stages' layers, called as one ``tz.spatial_first_stem``."""
+
+    def __init__(self, temporal, norm, spatial):
+        if spatial.padding != "valid":
+            raise ConfigError("the spatial stem conv must use valid padding")
+        self.temporal, self.norm, self.spatial = temporal, norm, spatial
+
+    def __call__(self, x, training=False, rng=None):
+        bn = self.norm
+        return tz.spatial_first_stem(
+            x, self.temporal.kernel, bn.gamma, bn.beta, bn.running_mean,
+            bn.running_var, self.spatial.kernel, training,
+            padding=self.temporal.padding, momentum=bn.momentum, eps=bn.eps)
+
+
 class Model:
-    """An ordered stack of named layers with capture points for analysis."""
+    """An ordered stack of named layers with capture points for analysis.
+
+    ``stages`` lists every layer by name, as ``describe`` and the weight
+    files see them; ``forward`` runs the STEM stages fused.
+    """
 
     def __init__(self, config, stages, capture_tags, classifier_name):
         self.config = config
@@ -140,6 +166,16 @@ class Model:
         self.capture_tags = dict(capture_tags)  # tag -> stage name
         self._by_name = dict(stages)
         self.classifier = self._by_name[classifier_name]
+        names = tuple(name for name, _ in stages[:len(STEM)])
+        if names != STEM:
+            raise ConfigError(f"a model opens with the stages {STEM}, "
+                              f"not {names}")
+        hidden = set(STEM[:-1]) & set(self.capture_tags.values())
+        if hidden:
+            raise ConfigError(f"stages {sorted(hidden)} run inside the "
+                              f"fused stem and cannot be captured")
+        stem = SpatialFirstStem(*(layer for _, layer in stages[:len(STEM)]))
+        self._steps = [(STEM[-1], stem)] + stages[len(STEM):]
 
     # -- forward -----------------------------------------------------------
 
@@ -147,7 +183,7 @@ class Model:
         """Run to logits. ``capture`` names tags whose activations to keep."""
         wanted = {self.capture_tags[tag]: tag for tag in capture}
         captured = {}
-        for name, layer in self.stages:
+        for name, layer in self._steps:
             x = layer(x, training=training, rng=rng)
             if name in wanted:
                 captured[wanted[name]] = x.data
@@ -203,15 +239,15 @@ class Model:
             missing = sorted(expected - set(stored))[:3]
             extra = sorted(set(stored) - expected)[:3]
             raise ValueError(
-                f"weight file does not match topology (missing {missing}, "
-                f"unexpected {extra})")
+                f"{path}: weight file does not match topology (missing "
+                f"{missing}, unexpected {extra})")
         for key, value in stored.items():
             kind, name = key.split(":", 1)
             target = params[name].data if kind == "param" else buffers[name]
             if target.shape != value.shape:
                 raise ValueError(
-                    f"{name}: stored shape {value.shape} != model shape "
-                    f"{target.shape}")
+                    f"{path}: {name}: stored shape {value.shape} != model "
+                    f"shape {target.shape}")
             target[...] = value
 
     # -- reporting ------------------------------------------------------------------

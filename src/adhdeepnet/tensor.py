@@ -14,9 +14,13 @@ requires them.
 
 All convolutions share one primitive that correlates along time by rFFT
 and contracts channels and height taps in one einsum; one-sample-wide
-kernels skip the transform. The rFFT sums in another order than a direct
-sum, so results differ from one in the last float bits, while a given
-version of the code still reproduces its own results bit for bit.
+kernels skip the transform. The network's first block (temporal conv,
+batch norm, spatial depthwise conv) runs as one op, ``spatial_first_stem``:
+spatial contraction first, then the temporal correlation, with the batch
+statistics taken from the input's lag moments. Both reorder float sums, so
+results differ from a direct sum in the last float bits, while a given
+version of the code still reproduces its own results bit for bit, and
+replay at ``--workers 1`` stays byte-identical.
 """
 
 from __future__ import annotations
@@ -89,12 +93,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self):
-        return float(self.data)
-
-    def numpy(self):
-        return self.data
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -544,6 +542,14 @@ def separable_conv2d(x: Tensor, depth_kernel: Tensor, point_kernel: Tensor,
 # -- normalization -----------------------------------------------------------------
 
 
+def _update_running(running_mean, running_var, mean, var, momentum):
+    """Move the running statistics toward a batch's, in place (EMA)."""
+    running_mean *= (1.0 - momentum)
+    running_mean += momentum * mean.astype(running_mean.dtype)
+    running_var *= (1.0 - momentum)
+    running_var += momentum * var.astype(running_var.dtype)
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean,
                running_var, training, momentum=0.1, eps=1e-5) -> Tensor:
     """Per-channel batch normalization over [N,C,H,W].
@@ -565,10 +571,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean,
     if training:
         mean = x.data.mean(axis=(0, 2, 3), dtype=np.float64)
         var = x.data.var(axis=(0, 2, 3), dtype=np.float64)
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mean.astype(running_mean.dtype)
-        running_var *= (1.0 - momentum)
-        running_var += momentum * var.astype(running_var.dtype)
+        _update_running(running_mean, running_var, mean, var, momentum)
     else:
         mean = running_mean.astype(np.float64)
         var = running_var.astype(np.float64)
@@ -595,6 +598,122 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean,
         return dx, dgamma, dbeta
 
     return Tensor._from_op(out, (x, gamma, beta), backward)
+
+
+def _lag_moments(rows, kw, pw, wo):
+    """First and second moments of a kw-tap window over padded rows.
+
+    ``rows`` is [R, W]; output t of a row reads taps xpad[t + a], a < kw,
+    of the row zero-padded by ``pw``, for t < wo. Returns, in float64, the
+    K-vector m[a] = mean of xpad[t + a] and the KxK matrix
+    G[a, b] = mean of xpad[t + a] * xpad[t + b], both over rows and t.
+    G[a, b] sums the Gram of the padded rows along its diagonal b - a for
+    wo steps from (a, b); prefix sums along the diagonals give every entry.
+    """
+    xp = np.pad(rows.astype(np.float64), ((0, 0), pw))
+    length = xp.shape[1]
+    count = xp.shape[0] * wo
+    taps = np.arange(kw)
+    prefix = np.concatenate(([0.0], np.cumsum(xp.sum(axis=0))))
+    m = (prefix[taps + wo] - prefix[taps]) / count
+    # kw zero columns give every diagonal the full length of the rows
+    gram = np.zeros((length, length + kw))
+    gram[:, :length] = xp.T @ xp
+    s0, s1 = gram.strides
+    diagonals = as_strided(gram, (kw, length), (s1, s0 + s1))  # [b-a, t]
+    prefix = np.zeros((kw, length + 1))
+    np.cumsum(diagonals, axis=1, out=prefix[:, 1:])
+    start = np.minimum.outer(taps, taps)
+    lag = np.abs(np.subtract.outer(taps, taps))
+    return m, (prefix[lag, start + wo] - prefix[lag, start]) / count
+
+
+def spatial_first_stem(x: Tensor, kernel: Tensor, gamma: Tensor,
+                       beta: Tensor, running_mean, running_var,
+                       spatial: Tensor, training, padding="same",
+                       momentum=0.1, eps=1e-5) -> Tensor:
+    """conv2d(x, kernel) -> batch_norm -> depthwise_conv2d(spatial), fused.
+
+    x [N,1,E,W], temporal kernel [F,1,1,K], spatial kernel [F,D,E,1]
+    (valid, full height) -> [N,F*D,1,W'], as the three ops give it, but
+    the [N,F,E,W'] temporal-conv output is never built. Both convolutions
+    are linear and act on different axes, so the spatial contraction runs
+    first, v[n,f,d] = sum_e spatial[f,d,e] x[n,e], then each (f, d) row is
+    correlated with k_f, u = k_f * v, and batch norm passes through the
+    spatial sum S[f,d] = sum_e spatial[f,d,e] as a scale and a shift:
+    out = a_f (u - mu_f S[f,d]) + beta_f S[f,d], where
+    a_f = gamma_f / sqrt(var_f + eps).
+
+    In training mode mu_f and the biased var_f of the temporal-conv output
+    come from the input's lag moments (``_lag_moments``): mu_f = k_f . m
+    and var_f = k_f' G k_f - mu_f^2, in float64; the running statistics
+    update as in ``batch_norm``, and the kernel gradient gains
+    dL/dmu_f m + dL/dvar_f (2 G k_f - 2 mu_f m). Those statistics depend
+    on x, so training mode refuses an x that requires a gradient;
+    inference mode passes the input gradient through the convolutions.
+    """
+    if x.ndim != 4 or kernel.ndim != 4 or spatial.ndim != 4:
+        raise ShapeError(
+            f"spatial_first_stem needs 4-d input and kernels, got {x.shape}, "
+            f"{kernel.shape} and {spatial.shape}")
+    n, c, e, w = x.shape
+    f, d = spatial.shape[:2]
+    kw = kernel.shape[3]
+    if c != 1 or kernel.shape[:3] != (f, 1, 1) or spatial.shape[2:] != (e, 1):
+        raise ShapeError(
+            f"spatial_first_stem needs x [N,1,E,W], kernel [F,1,1,K] and "
+            f"spatial [F,D,E,1], got {x.shape}, {kernel.shape} and "
+            f"{spatial.shape}")
+    if gamma.size != f or beta.size != f:
+        raise ShapeError(
+            f"batch_norm gamma/beta must have length {f}, got "
+            f"{gamma.size}/{beta.size}")
+    if n == 0:
+        raise ValueError("batch_norm on an empty batch")
+    if training and x.requires_grad:
+        raise GraphError("spatial_first_stem in training mode takes its "
+                         "batch statistics from the input, which must not "
+                         "require a gradient")
+
+    v = conv2d(x, reshape(spatial, (f * d, 1, e, 1)))
+    u = depthwise_conv2d(reshape(v, (n, f, d, w)), kernel, padding)
+    wo = u.shape[3]
+    k = kernel.data.reshape(f, kw).astype(np.float64)
+    if training:
+        _, pw, _, _ = _conv_geometry(1, w, 1, kw, padding)
+        m, gram = _lag_moments(x.data.reshape(n * e, w), kw, pw, wo)
+        gk = k @ gram
+        mean = k @ m
+        var = np.maximum(np.einsum("fa,fa->f", gk, k) - mean * mean, 0.0)
+        _update_running(running_mean, running_var, mean, var, momentum)
+    else:
+        mean = running_mean.astype(np.float64)
+        var = running_var.astype(np.float64)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    scale = gamma.data * inv_std
+    offset = beta.data - scale * mean
+    s = spatial.data.sum(axis=(2, 3), dtype=np.float64)
+    out = u.data * scale.astype(u.dtype)[:, None, None]
+    out += (offset[:, None] * s).astype(u.dtype)[:, :, None]
+
+    def backward(g):
+        gsum = g.sum(axis=(0, 3), dtype=np.float64)  # [F, D]
+        gs = (gsum * s).sum(axis=1)
+        dscale = (g * u.data).sum(axis=(0, 2, 3), dtype=np.float64) \
+            - mean * gs
+        dspatial = np.broadcast_to((offset[:, None] * gsum)[..., None, None],
+                                   spatial.shape)
+        dk = None
+        if training:
+            dmean = -scale * gs
+            dvar = dscale * gamma.data * (-0.5 * inv_std ** 3)
+            dk = ((dmean - 2.0 * dvar * mean)[:, None] * m
+                  + 2.0 * dvar[:, None] * gk).reshape(kernel.shape)
+        return (g * scale.astype(g.dtype)[:, None, None], dk, dspatial,
+                dscale * inv_std, gs)
+
+    folded = Tensor._from_op(out, (u, kernel, spatial, gamma, beta), backward)
+    return reshape(folded, (n, f * d, 1, wo))
 
 
 # -- pooling ------------------------------------------------------------------------

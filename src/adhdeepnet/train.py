@@ -5,7 +5,8 @@ fit (the dropout rate is a tuned hyperparameter, so the topology is
 rebuilt). Each step minimizes the mean per-sample cross-entropy of the
 batch and then re-applies the max-norm constraint to the classifier rows.
 Early stopping watches the validation loss (inference mode) and restores
-the best-epoch weights.
+the best-epoch weights. A non-finite training or validation loss stops the
+fit with ``DivergenceError``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,17 @@ import numpy as np
 from .model import build_adhdeepnet
 from .nn import apply_max_norm, cross_entropy_loss, make_optimizer
 from .tensor import Tensor
+
+
+class DivergenceError(ValueError):
+    """A fit produced a non-finite training or validation loss."""
+
+
+def _finite_loss(value, epoch, which):
+    if not np.isfinite(value):
+        raise DivergenceError(
+            f"training diverged at epoch {epoch}: {which} loss {value}")
+    return value
 
 
 def trials_to_arrays(trials):
@@ -68,7 +80,8 @@ class Trainer:
         ``hyperparams`` is a mapping with learning_rate, dropout_rate,
         batch_size, norm_rate, and optimizer_kind. With ``val_trials`` the
         loop stops after ``patience`` epochs without a validation-loss
-        improvement and restores the best weights.
+        improvement and restores the best weights. Raises DivergenceError
+        on a non-finite batch or validation loss.
         """
         hp = dict(hyperparams)
         config = replace(self.base_config,
@@ -103,7 +116,7 @@ class Trainer:
                 yb = Tensor(y[idx])
                 loss = cross_entropy_loss(
                     model.forward(xb, training=True, rng=rng), yb)
-                total += float(loss.data)
+                total += _finite_loss(float(loss.data), epoch, "training")
                 seen += len(idx)
                 scaled = loss * (1.0 / len(idx))
                 scaled.backward()
@@ -117,7 +130,8 @@ class Trainer:
                 print(f"[epoch {epoch}] loss={result.train_losses[-1]:.6g}",
                       file=sys.stderr)
                 continue
-            val = self.evaluate_loss(model, xv, yv, batch_size)
+            val = _finite_loss(self.evaluate_loss(model, xv, yv, batch_size),
+                               epoch, "validation")
             result.val_losses.append(val)
             print(f"[epoch {epoch}] loss={result.train_losses[-1]:.6g} "
                   f"val={val:.6g}", file=sys.stderr)

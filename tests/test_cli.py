@@ -12,6 +12,7 @@ import pytest
 
 from adhdeepnet import cli
 from adhdeepnet.data import load_dataset, segment_all
+from adhdeepnet.model import build_adhdeepnet, desk_config
 from adhdeepnet.tensor import save_tensors
 
 TINY_MODEL = [
@@ -196,6 +197,17 @@ def test_explain_truncated_weights_is_user_error(dataset_dir, tmp_path,
                    *TINY_MODEL)
     assert code == 1
     assert "model.weights" in capsys.readouterr().err
+
+
+def test_explain_weights_of_another_preset_is_user_error(dataset_dir,
+                                                        tmp_path, capsys):
+    weights = tmp_path / "desk.weights"
+    build_adhdeepnet(desk_config(), seed=0).save_weights(weights)
+    code = run_cli("explain", "--preset", "full", "--weights", str(weights),
+                   "--data", str(dataset_dir), "--out", str(tmp_path / "x"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(weights) in err and "stored shape" in err
 
 
 # -- tune --------------------------------------------------------------------

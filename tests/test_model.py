@@ -168,8 +168,18 @@ def test_load_weights_rejects_mismatched_topology(tmp_path):
     path = tmp_path / "model.adnw"
     model.save_weights(path)
     other = build_adhdeepnet(small_config(branch_width=8), seed=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="model.adnw"):
         other.load_weights(path)
+
+
+def test_load_weights_errors_name_the_file(tmp_path):
+    path = tmp_path / "desk.adnw"
+    build_adhdeepnet(desk_config(), seed=0).save_weights(path)
+    with pytest.raises(ValueError, match=r"desk\.adnw: temporal_conv"):
+        build_adhdeepnet(ModelConfig(), seed=0).load_weights(path)
+    with pytest.raises(ValueError, match=r"desk\.adnw: weight file does not "
+                                         r"match topology"):
+        build_adhdeepnet(desk_config(use_se=False), seed=0).load_weights(path)
 
 
 def test_desk_config_valid_and_small():

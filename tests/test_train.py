@@ -5,7 +5,8 @@ import pytest
 
 from adhdeepnet.data import generate_synthetic, segment_all
 from adhdeepnet.model import ModelConfig, build_adhdeepnet
-from adhdeepnet.train import FitResult, Trainer, trials_to_arrays
+from adhdeepnet.train import (DivergenceError, FitResult, Trainer,
+                              trials_to_arrays)
 
 
 def tiny_config(**overrides):
@@ -163,6 +164,27 @@ def test_training_learns_separable_cohort():
     truth = np.asarray([0 if t.label == "ADHD" else 1 for t in heldout])
     accuracy = float((np.argmax(probs, axis=1) == truth).mean())
     assert accuracy >= 0.7
+
+
+def test_divergent_fit_raises_naming_epoch_and_loss():
+    trials = cohort_trials(2, 8, seed=1)
+    # a step size of 1e10 sends the weights past float32 within one epoch
+    trainer = Trainer(tiny_config(), epochs=5)
+    with np.errstate(all="ignore"), \
+            pytest.raises(DivergenceError,
+                          match=r"epoch \d+: training loss (nan|inf)"):
+        trainer.fit(trials, dict(HP, learning_rate=1e10), seed=0)
+
+
+def test_non_finite_validation_loss_raises(monkeypatch):
+    trials = cohort_trials(1, 8, seed=2)
+    val = cohort_trials(1, 8, seed=9)
+    monkeypatch.setattr(Trainer, "evaluate_loss",
+                        lambda self, *args: float("nan"))
+    trainer = Trainer(tiny_config(), epochs=5, patience=2)
+    with pytest.raises(DivergenceError, match="epoch 0: validation loss nan"):
+        trainer.fit(trials, HP, seed=0, val_trials=val)
+    assert issubclass(DivergenceError, ValueError)  # the CLI exits 1
 
 
 def test_fit_result_defaults():
