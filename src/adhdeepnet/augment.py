@@ -76,8 +76,9 @@ def enumerate_combos(magnifications=MAGNIFICATIONS, sigmas=SIGMAS):
     return combos
 
 
-def augment_trial(trial, m, sigma, rng):
-    """One noisy copy: window + m * Normal(0, sigma^2). Source untouched."""
+def augment_trial(trial, m, sigma, rng, copy=1):
+    """Noisy copy number ``copy``: window + m * Normal(0, sigma^2). Source
+    untouched."""
     if m not in MAGNIFICATIONS:
         raise ValueError(f"magnification {m} not in {MAGNIFICATIONS}")
     if sigma <= 0:
@@ -85,7 +86,7 @@ def augment_trial(trial, m, sigma, rng):
     noise = rng.normal(0.0, sigma, size=trial.window.shape)
     window = (trial.window + m * noise).astype(np.float32)
     return Trial(trial.subject_id, trial.segment_index, window, trial.label,
-                 copy=trial.copy)
+                 copy=copy)
 
 
 def _trial_rng(seed, trial, copy_index):
@@ -112,8 +113,6 @@ def augment_training_set(train_trials, combo, seed):
     out = list(train_trials)
     for trial in train_trials:
         for k, (m, sigma) in enumerate(recipe, start=1):
-            rng = _trial_rng(seed, trial, k)
-            copy = augment_trial(trial, m, sigma, rng)
-            out.append(Trial(copy.subject_id, copy.segment_index, copy.window,
-                             copy.label, copy=k))
+            out.append(augment_trial(trial, m, sigma,
+                                     _trial_rng(seed, trial, k), copy=k))
     return out

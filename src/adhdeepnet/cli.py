@@ -38,11 +38,12 @@ from pathlib import Path
 import numpy as np
 
 from .augment import enumerate_combos
-from .data import (PlanningError, atomic_write_text, generate_synthetic,
-                   load_dataset, save_dataset, segment_all)
+from .data import (PlanningError, atomic_write_text, canonical_json,
+                   generate_synthetic, load_dataset, save_dataset,
+                   segment_all)
 from .evaluate import (ABLATION_VARIANTS, DEFAULT_HYPERPARAMS,
                        _validation_slice, ablation_run, evaluate_no_da,
-                       evaluate_with_da, report_json_text)
+                       evaluate_with_da)
 from .explain import DEFAULT_LAYER_TAGS, export_analysis
 from .model import ModelConfig, build_adhdeepnet, desk_config
 from .optimize import TuningError, tune
@@ -152,8 +153,7 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
     def to_json_text(self):
-        payload = dataclasses.asdict(self)
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return canonical_json(dataclasses.asdict(self))
 
 
 def _parse_override(item):
@@ -318,10 +318,6 @@ def _full_hyperparams(overrides):
     return hp
 
 
-def _canonical_json(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 # -- subcommands ------------------------------------------------------------------------
 
 
@@ -366,7 +362,7 @@ def cmd_train(config):
                "epochs_run": result.epochs_run,
                "stopped_early": result.stopped_early,
                "hyperparams": hyperparams}
-    atomic_write_text(out / "history.json", _canonical_json(history))
+    atomic_write_text(out / "history.json", canonical_json(history))
     _progress(f"wrote {out / 'model.weights'} and history.json")
     return EXIT_OK
 
@@ -387,7 +383,7 @@ def cmd_tune(config):
                         history_path=str(out / "bo_history.jsonl"))
     payload = {"best_params": best.as_dict(), "best_g": result.best_g,
                "evaluations": len(result.history)}
-    atomic_write_text(out / "best_params.json", _canonical_json(payload))
+    atomic_write_text(out / "best_params.json", canonical_json(payload))
     _progress(f"best g={result.best_g:.6g}; wrote best_params.json and "
               f"bo_history.jsonl")
     return EXIT_OK
@@ -438,13 +434,13 @@ def cmd_evaluate(config):
               f"workers={config.workers}")
     if mode == "no-da":
         report = evaluate_no_da(recordings, **common)
-        json_text = report_json_text(report)
+        json_text = canonical_json(report.to_json_dict())
         text = report.render_text()
     elif mode == "da":
         combos = _select_combos(config.combos)
         reports = evaluate_with_da(recordings, combos=combos, **common)
         sweep = reports.pop("_sweep")
-        json_text = _canonical_json(
+        json_text = canonical_json(
             {"mode": "da", "sweep": sweep,
              "combos": {cid: r.to_json_dict()
                         for cid, r in reports.items()}})
@@ -452,7 +448,7 @@ def cmd_evaluate(config):
     elif mode == "ablation":
         variants = tuple(opts.get("variants", ABLATION_VARIANTS))
         reports = ablation_run(recordings, variants=variants, **common)
-        json_text = _canonical_json(
+        json_text = canonical_json(
             {"mode": "ablation",
              "variants": {v: r.to_json_dict() for v, r in reports.items()}})
         text = "".join(reports[v].render_text() for v in variants)

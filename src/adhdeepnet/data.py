@@ -150,6 +150,8 @@ def plan_folds(recordings, k=10, seed=0, tolerance=0.10, max_attempts=1000):
     subjects than folds the ratio check is vacuous (some folds cannot hold
     both classes) and the first deal stands.
     """
+    if k < 2:
+        raise PlanningError(f"k-fold planning needs k >= 2, got k={k}")
     by_label = {label: sorted(r.subject_id for r in recordings
                               if r.label == label) for label in LABELS}
     if len(recordings) < k:
@@ -306,6 +308,11 @@ def atomic_write_text(path, text):
 
 def atomic_write_bytes(path, payload):
     _atomic_write(path, payload, "wb")
+
+
+def canonical_json(payload):
+    """Key-sorted, indented JSON text: the form of every report file."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def save_dataset(recordings, out_dir):

@@ -3,6 +3,11 @@ optional per-fold hyperparameter tuning on the training subjects only, final
 retraining with a held-out validation slice, and sample- plus subject-level
 metric reports.
 
+One function, ``_run_protocol``, runs every protocol: the augmentation
+sweep retrains each fold once per combo, the plain run is the one-combo
+case ``[None]`` (combo id ""), and the ablation runs the plain case once
+per topology variant.
+
 Fold work is deterministic given (seed, fold index), so running folds in a
 process pool returns byte-identical reports to a serial run. Reports carry
 no timestamps for the same reason.
@@ -192,15 +197,6 @@ def config_hash(config, extra=None):
         payload["extra"] = extra
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-def report_json_text(reports):
-    """Canonical serialization for one report or a list of reports."""
-    if isinstance(reports, EvalReport):
-        payload = reports.to_json_dict()
-    else:
-        payload = [r.to_json_dict() for r in reports]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 # -- fold execution --------------------------------------------------------------------
@@ -417,68 +413,19 @@ def _run_folds(tasks, workers, out_dir=None):
     return ordered
 
 
-def _fold_summary(record):
-    keep = ("fold", "combo_id", "test_subjects", "n_train_trials",
-            "n_test_trials", "hyperparams", "epochs_run", "auc",
-            "weights_file", "tuning_evaluations")
-    out = {key: record[key] for key in keep if key in record}
-    for kind in ("sample", "subject"):
-        for metric in ("tp", "fp", "tn", "fn", "accuracy", "precision",
-                       "recall", "f2"):
-            out[f"{kind}_{metric}"] = record[f"{kind}_{metric}"]
-    return out
-
-
-def _assemble(records_per_fold, mode, seed, k, chash, combo_id="",
-              variant=""):
-    report = EvalReport(mode=mode, seed=seed, k=k, config_hash=chash,
-                        combo_id=combo_id, variant=variant)
-    for fold_records in records_per_fold:
-        matches = [r for r in fold_records if r["combo_id"] == combo_id]
-        assert len(matches) == 1, f"expected one record for '{combo_id}'"
-        report.folds.append(_fold_summary(matches[0]))
-    return report
-
-
-def evaluate_no_da(recordings, k=10, seed=0, config=None, hyperparams=None,
-                   tune_iterations=25, tune_seed_points=10, workers=1,
-                   out_dir=None, trainer_factory=None, build_fn=None,
-                   inner_epochs=30, inner_patience=6, final_epochs=100,
-                   final_patience=10):
-    """k-fold cross-subject evaluation without augmentation.
-
-    With ``hyperparams=None`` each fold tunes its own settings on its
-    training subjects; otherwise the given mapping is used everywhere.
-    Returns one EvalReport. Injected ``trainer_factory``/``build_fn`` must
-    be picklable when ``workers`` > 1.
-    """
+def _run_protocol(recordings, combos, mode, k=10, seed=0, config=None,
+                  hyperparams=None, tune_iterations=25, tune_seed_points=10,
+                  workers=1, out_dir=None, trainer_factory=None,
+                  build_fn=None, inner_epochs=30, inner_patience=6,
+                  final_epochs=100, final_patience=10, variant="",
+                  hash_extra=None):
+    """Every protocol's fold loop: k outer folds, each tuned once (or run
+    with the fixed ``hyperparams``), then retrained once per entry of
+    ``combos`` (``None`` = no augmentation, combo id ""). Returns
+    {combo_id: EvalReport} in ``combos`` order. Injected
+    ``trainer_factory``/``build_fn`` must be picklable when ``workers``
+    > 1."""
     config = config or ModelConfig()
-    settings = {
-        "hyperparams": dict(hyperparams) if hyperparams else None,
-        "tune_iterations": tune_iterations,
-        "tune_seed_points": tune_seed_points,
-        "inner_epochs": inner_epochs, "inner_patience": inner_patience,
-        "final_epochs": final_epochs, "final_patience": final_patience,
-        "trainer_factory": trainer_factory, "build_fn": build_fn,
-        "out_dir": out_dir, "combos": None,
-    }
-    chash = config_hash(config, {"mode": "no-da", "k": k})
-    tasks = _fold_tasks(recordings, k, seed, config, settings)
-    records = _run_folds(tasks, workers, out_dir=out_dir)
-    return _assemble(records, "no-da", seed, k, chash)
-
-
-def evaluate_with_da(recordings, combos=None, k=10, seed=0, config=None,
-                     hyperparams=None, tune_iterations=25,
-                     tune_seed_points=10, workers=1, out_dir=None,
-                     trainer_factory=None, build_fn=None, inner_epochs=30,
-                     inner_patience=6, final_epochs=100, final_patience=10):
-    """Augmentation sweep: each fold tunes once (or uses the fixed
-    hyperparameters), then retrains per combo on the augmented training
-    set. Returns {combo_id: EvalReport} plus a sweep summary dict under
-    the key "_sweep"."""
-    config = config or ModelConfig()
-    combos = list(combos) if combos is not None else enumerate_combos()
     settings = {
         "hyperparams": dict(hyperparams) if hyperparams else None,
         "tune_iterations": tune_iterations,
@@ -488,13 +435,35 @@ def evaluate_with_da(recordings, combos=None, k=10, seed=0, config=None,
         "trainer_factory": trainer_factory, "build_fn": build_fn,
         "out_dir": out_dir, "combos": combos,
     }
-    chash = config_hash(config, {"mode": "da", "k": k})
+    chash = config_hash(config, hash_extra or {"mode": mode, "k": k})
     tasks = _fold_tasks(recordings, k, seed, config, settings)
-    records = _run_folds(tasks, workers, out_dir=out_dir)
     reports = {}
-    for combo in combos:
-        reports[combo.id] = _assemble(records, "da", seed, k, chash,
-                                      combo_id=combo.id)
+    for fold_records in _run_folds(tasks, workers, out_dir=out_dir):
+        for record in fold_records:
+            combo_id = record["combo_id"]
+            if combo_id not in reports:
+                reports[combo_id] = EvalReport(
+                    mode=mode, seed=seed, k=k, config_hash=chash,
+                    combo_id=combo_id, variant=variant)
+            reports[combo_id].folds.append(record)
+    return reports
+
+
+def evaluate_no_da(recordings, **kwargs):
+    """k-fold cross-subject evaluation without augmentation: the protocol
+    loop run on the one combo ``None``. Keyword arguments as for
+    ``_run_protocol``; with ``hyperparams=None`` each fold tunes its own
+    settings on its training subjects. Returns one EvalReport."""
+    return _run_protocol(recordings, [None], "no-da", **kwargs)[""]
+
+
+def evaluate_with_da(recordings, combos=None, **kwargs):
+    """Augmentation sweep: each fold tunes once (or uses the fixed
+    hyperparameters), then retrains per combo on the augmented training
+    set. Returns {combo_id: EvalReport} plus a sweep summary dict under
+    the key "_sweep"."""
+    combos = list(combos) if combos is not None else enumerate_combos()
+    reports = _run_protocol(recordings, combos, "da", **kwargs)
     ranked = sorted(
         reports.values(),
         key=lambda r: r.averages()["subject_accuracy"]["mean"])
@@ -536,14 +505,11 @@ def ablation_run(recordings, variants=ABLATION_VARIANTS, k=10, seed=0,
     reports = {}
     for variant in variants:
         vconfig, build_fn = variant_config(variant, config)
-        v_out = os.path.join(out_dir, variant) if out_dir else None
-        report = evaluate_no_da(recordings, k=k, seed=seed, config=vconfig,
-                                hyperparams=hyperparams, build_fn=build_fn,
-                                out_dir=v_out, **kwargs)
-        report.mode = "ablation"
-        report.variant = variant
-        report.config_hash = config_hash(
-            vconfig, {"mode": "ablation", "k": k, "variant": variant,
-                      "builder": build_fn.__name__})
-        reports[variant] = report
+        extra = {"mode": "ablation", "k": k, "variant": variant,
+                 "builder": build_fn.__name__}
+        reports[variant] = _run_protocol(
+            recordings, [None], "ablation", k=k, seed=seed, config=vconfig,
+            hyperparams=hyperparams, build_fn=build_fn,
+            out_dir=os.path.join(out_dir, variant) if out_dir else None,
+            variant=variant, hash_extra=extra, **kwargs)[""]
     return reports

@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CHANNELS, FS
-from .evaluate import atomic_write_text
-from .tensor import Tensor
+from .data import CHANNELS, FS, atomic_write_text
 
 BANDS = {
     "delta": (0.5, 4.0),
@@ -234,6 +232,8 @@ def tsne(activations, perplexity=30.0, iterations=1000, seed=0,
     returned embedding carries the KL trace; the final KL is always
     checked against the plain (non-exaggerated) similarity matrix.
     """
+    if not perplexity >= 1:  # exp(entropy) >= 1, so no search reaches it
+        raise ValueError(f"perplexity must be >= 1, got {perplexity}")
     x = np.asarray(activations, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 2:
         raise ValueError(f"activations must be [N, d>=2], got {x.shape}")
@@ -311,10 +311,8 @@ def layer_activations(model, trials, layer_tags=DEFAULT_LAYER_TAGS,
             f"{sorted(model.capture_tags)}")
     windows = np.stack([t.window for t in trials])[:, None, :, :]
     parts = {tag: [] for tag in layer_tags}
-    for start in range(0, len(windows), batch_size):
-        batch = Tensor(windows[start:start + batch_size])
-        _, captured = model.forward(batch, training=False,
-                                    capture=tuple(layer_tags))
+    for _, _, captured in model.infer(windows, batch_size,
+                                      capture=tuple(layer_tags)):
         for tag in layer_tags:
             data = captured[tag]
             parts[tag].append(data.reshape(data.shape[0], -1))

@@ -191,11 +191,22 @@ class Model:
             return x, captured
         return x
 
-    def predict_proba(self, batch):
+    def infer(self, x, batch_size, capture=()):
+        """Run an [N,1,E,T] array through ``forward(training=False)``,
+        ``batch_size`` trials at a time; yields (start, logits, captured)
+        per batch, with the logits as an array."""
+        for start in range(0, len(x), batch_size):
+            out = self.forward(Tensor(x[start:start + batch_size]),
+                               training=False, capture=capture)
+            logits, captured = (out[0].data, out[1]) if capture \
+                else (out.data, {})
+            del out  # frees this batch's graph before the next one runs
+            yield start, logits, captured
+
+    def predict_proba(self, x, batch_size=128):
         """Class probabilities for a [N,1,E,T] array, inference mode."""
-        x = batch if isinstance(batch, Tensor) else Tensor(batch)
-        logits = self.forward(x, training=False)
-        return tz.softmax(logits, axis=1).data
+        return np.concatenate([tz.softmax(Tensor(logits), axis=1).data
+                               for _, logits, _ in self.infer(x, batch_size)])
 
     # -- parameters -----------------------------------------------------------
 

@@ -152,17 +152,11 @@ class Trainer:
     def evaluate_loss(self, model, x, y, batch_size=128):
         """Mean per-sample cross-entropy in inference mode."""
         total = 0.0
-        for start in range(0, len(x), batch_size):
-            xb = Tensor(x[start:start + batch_size])
+        for start, logits, _ in model.infer(x, batch_size):
             yb = Tensor(y[start:start + batch_size])
-            loss = cross_entropy_loss(model.forward(xb, training=False), yb)
-            total += float(loss.data)
+            total += float(cross_entropy_loss(Tensor(logits), yb).data)
         return total / len(x)
 
     def predict_proba(self, model, trials, batch_size=128):
         """Per-trial class probabilities, inference mode, [N,2]."""
-        x, _ = trials_to_arrays(trials)
-        out = []
-        for start in range(0, len(x), batch_size):
-            out.append(model.predict_proba(x[start:start + batch_size]))
-        return np.concatenate(out, axis=0)
+        return model.predict_proba(trials_to_arrays(trials)[0], batch_size)

@@ -99,15 +99,31 @@ def test_evaluate_rejects_cohort_with_nan_sample(dataset_dir, tmp_path,
     assert entry["subject_id"] in err and "C3" in err and "100" in err
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("evaluate", ()),
+    ("evaluate", ("--mode", "da", "--combos", "C1,C10", "--epochs", "1")),
+    ("ablate", ("--epochs", "1")),
+], ids=["no-da", "da", "ablate"])
 def test_rerun_from_persisted_config_is_byte_identical(dataset_dir,
-                                                       tmp_path):
+                                                       tmp_path, command,
+                                                       extra):
     first = tmp_path / "run1"
     second = tmp_path / "run2"
-    assert run_cli(*evaluate_args(dataset_dir, first)) == 0
-    assert run_cli("evaluate", "--config", str(first / "run_config.json"),
+    assert run_cli(command, *evaluate_args(dataset_dir, first, *extra)[1:]) \
+        == 0
+    assert run_cli(command, "--config", str(first / "run_config.json"),
                    "--out", str(second)) == 0
     assert (first / "report.json").read_bytes() \
         == (second / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("k", ["0", "1", "-2"])
+def test_fold_count_below_two_is_user_error(dataset_dir, tmp_path, capsys,
+                                            k):
+    code = run_cli(*evaluate_args(dataset_dir, tmp_path / "o", "--k", k))
+    assert code == 1
+    assert f"error: k-fold planning needs k >= 2, got k={k}" \
+        in capsys.readouterr().err
 
 
 def test_inline_synth_spec_as_data_source(tmp_path):
@@ -185,6 +201,17 @@ def test_explain_requires_weights(dataset_dir, tmp_path, capsys):
                    str(tmp_path / "x"), *TINY_MODEL)
     assert code == 1
     assert "--weights" in capsys.readouterr().err
+
+
+def test_explain_perplexity_below_one_is_user_error(dataset_dir, tmp_path,
+                                                   capsys):
+    weights = tmp_path / "desk.weights"
+    build_adhdeepnet(desk_config(), seed=0).save_weights(weights)
+    code = run_cli("explain", "--preset", "desk", "--weights", str(weights),
+                   "--data", str(dataset_dir), "--out", str(tmp_path / "x"),
+                   "--perplexity", "0", "--iterations", "50")
+    assert code == 1
+    assert "perplexity must be >= 1" in capsys.readouterr().err
 
 
 def test_explain_truncated_weights_is_user_error(dataset_dir, tmp_path,

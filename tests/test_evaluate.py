@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from adhdeepnet.augment import enumerate_combos
-from adhdeepnet.data import generate_synthetic
+from adhdeepnet.data import canonical_json, generate_synthetic
 from adhdeepnet.evaluate import (
     ABLATION_VARIANTS,
     ConfusionCounts,
@@ -20,7 +20,6 @@ from adhdeepnet.evaluate import (
     evaluate_no_da,
     evaluate_with_da,
     metrics,
-    report_json_text,
     run_fold,
     variant_config,
     _validation_slice,
@@ -296,9 +295,10 @@ def test_subject_aggregation_outvotes_minority_errors():
 
 
 def test_report_json_is_deterministic():
-    runs = [report_json_text(
+    runs = [canonical_json(
         evaluate_no_da(small_cohort(4, 8), k=2, seed=5, hyperparams=HP,
-                       trainer_factory=OracleTrainer)) for _ in range(2)]
+                       trainer_factory=OracleTrainer).to_json_dict())
+        for _ in range(2)]
     assert runs[0] == runs[1]
     payload = json.loads(runs[0])
     assert payload["mode"] == "no-da"
@@ -311,7 +311,8 @@ def test_parallel_folds_match_serial():
                             trainer_factory=OracleTrainer, workers=1)
     parallel = evaluate_no_da(recs, k=2, seed=1, hyperparams=HP,
                               trainer_factory=OracleTrainer, workers=2)
-    assert report_json_text(serial) == report_json_text(parallel)
+    assert canonical_json(serial.to_json_dict()) \
+        == canonical_json(parallel.to_json_dict())
 
 
 def test_tuning_path_runs_and_reports_budget():

@@ -250,6 +250,10 @@ def test_tsne_argument_errors():
         tsne(rng.normal(size=(20, 5)), perplexity=30.0)
     with pytest.raises(ValueError, match="N, d"):
         tsne(rng.normal(size=(50, 1)), perplexity=10.0)
+    # exp(entropy) >= 1, so the neighbor search could never reach these
+    for perplexity in (0.0, 0.5, -2.0, float("nan")):
+        with pytest.raises(ValueError, match="perplexity must be >= 1"):
+            tsne(rng.normal(size=(30, 5)), perplexity=perplexity)
 
 
 def test_tsne_kl_trace_descends_overall():
@@ -278,6 +282,21 @@ def test_layer_activations_shapes_and_tags():
         assert matrix.shape[0] == len(trials)
         assert matrix.shape[1] > 0
         assert np.all(np.isfinite(matrix))
+
+
+def test_layer_activations_do_not_depend_on_batch_size():
+    model = tiny_model(seed=2)
+    trials = synthetic_trials(3, 48, seed=5)[:70]  # batch 64 leaves 6 over
+    one = layer_activations(model, trials, batch_size=1)
+    many = layer_activations(model, trials, batch_size=64)
+    assert set(one) == set(many)
+    for tag, matrix in many.items():
+        assert one[tag].shape == matrix.shape == (70, matrix.shape[1])
+        # only BLAS rounding may differ between batch sizes: within 1e-5
+        # of the largest activation
+        scale = float(np.abs(matrix).max())
+        np.testing.assert_allclose(one[tag], matrix, rtol=0,
+                                   atol=1e-5 * scale)
 
 
 def test_layer_activations_unknown_tag():

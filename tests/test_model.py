@@ -30,6 +30,23 @@ def test_forward_shape_and_softmax():
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 
+def test_infer_batches_cover_a_ragged_input_in_order():
+    model = build_adhdeepnet(small_config(), seed=0)
+    x = np.random.default_rng(1).standard_normal(
+        (11, 1, 19, 512)).astype(np.float32)
+    batches = list(model.infer(x, 4, capture=("block1",)))
+    assert [start for start, _, _ in batches] == [0, 4, 8]
+    assert [len(logits) for _, logits, _ in batches] == [4, 4, 3]
+    for start, logits, captured in batches:
+        assert isinstance(logits, np.ndarray)
+        assert set(captured) == {"block1"}
+        assert captured["block1"].shape[0] == len(logits)
+        single = model.forward(Tensor(x[start:start + len(logits)]),
+                               training=False).data
+        np.testing.assert_array_equal(logits, single)
+    assert all(captured == {} for _, _, captured in model.infer(x, 4))
+
+
 def test_param_count_deterministic_across_builds():
     cfg = small_config()
     a = build_adhdeepnet(cfg, seed=1).parameter_count()

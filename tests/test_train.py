@@ -166,6 +166,18 @@ def test_training_learns_separable_cohort():
     assert accuracy >= 0.7
 
 
+def test_evaluate_loss_matches_mean_cross_entropy_of_probabilities():
+    trials = cohort_trials(1, 24, seed=6)[:11]  # batch 4 leaves 3 over
+    trainer = Trainer(tiny_config())
+    model = build_adhdeepnet(tiny_config(), seed=3)
+    x, y = trials_to_arrays(trials)
+    probs = trainer.predict_proba(model, trials).astype(np.float64)
+    expected = -np.mean(np.log(np.sum(probs * y, axis=1)))
+    # float32 probabilities carry ~1e-7 relative error into each log
+    assert trainer.evaluate_loss(model, x, y, batch_size=4) \
+        == pytest.approx(expected, abs=1e-6)
+
+
 def test_divergent_fit_raises_naming_epoch_and_loss():
     trials = cohort_trials(2, 8, seed=1)
     # a step size of 1e10 sends the weights past float32 within one epoch
