@@ -164,14 +164,18 @@ class Embedding2D:
     kl_trace: list = field(default_factory=list)
 
 
-def _squared_distances(x):
-    sq = np.sum(x ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+def _distances_from_gram(g, sq):
+    """Pairwise squared distances from a Gram matrix and its row norms."""
+    d2 = sq[:, None] + sq[None, :] - 2.0 * g
     # exact symmetry matters: identical input rows must see bitwise
     # identical distances, or float noise seeds a spurious separation
     d2 = (d2 + d2.T) / 2.0
     np.fill_diagonal(d2, 0.0)
     return np.maximum(d2, 0.0)
+
+
+def _squared_distances(x):
+    return _distances_from_gram(x @ x.T, np.sum(x ** 2, axis=1))
 
 
 def _binary_search_neighbors(d2, perplexity, tol=1e-4, max_iter=200):
@@ -213,28 +217,62 @@ def _kl_divergence(p, q):
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
-def _pca_init(x, scale=1e-4):
-    centered = x - x.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    y = centered @ vt[:2].T
+def _check_tsne_arguments(perplexity, iterations):
+    if not perplexity >= 1:  # exp(entropy) >= 1, so no search reaches it
+        raise ValueError(f"perplexity must be >= 1, got {perplexity}")
+    if not iterations >= 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+
+
+def _distinct_rows(x):
+    """Group the rows of x by their exact bytes.
+
+    Returns the indices of the distinct rows in order of first occurrence
+    and, for every row, the position of its group among them. Sorting a
+    void view puts byte-equal rows next to each other without copying
+    them (``np.unique`` on the view would copy every row three times).
+    """
+    rows = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1])))
+    rows = rows.ravel()
+    order = np.argsort(rows, kind="stable")
+    fresh = np.ones(order.size, dtype=bool)
+    fresh[1:] = [rows[a] != rows[b] for a, b in zip(order[1:], order[:-1])]
+    # a stable sort starts each run of equal rows at its first occurrence
+    first = np.empty_like(order)
+    first[order] = order[fresh][np.cumsum(fresh) - 1]
+    distinct, inverse = np.unique(first, return_inverse=True)
+    return distinct, inverse
+
+
+def _pca_init(g, scale=1e-4):
+    """Top-2 PCA coordinates of centred rows u from their Gram matrix u u^T.
+
+    With u = U S V^T the projection u V is U S, so the coordinates are the
+    top eigenvectors of g scaled by the root of their eigenvalues. Each
+    column is scaled to std ``scale`` and signed so that its
+    largest-magnitude entry is positive.
+    """
+    values, vectors = np.linalg.eigh(g)  # ascending
+    y = vectors[:, :-3:-1] * np.sqrt(np.maximum(values[:-3:-1], 0.0))
+    peak = y[np.abs(y).argmax(axis=0), [0, 1]]
+    y = np.where(peak < 0, -y, y)
     std = y.std(axis=0)
     std[std == 0] = 1.0
     return y / std * scale
 
 
-def tsne(activations, perplexity=30.0, iterations=1000, seed=0,
-         labels=None, layer_tag="", exaggeration=12.0,
-         exaggeration_iters=250):
-    """Exact t-SNE to two dimensions.
+def _tsne_setup(activations, perplexity):
+    """Distinct rows, joint neighbor probabilities and PCA initialization.
 
-    Deterministic: initialization is the top-2 PCA projection scaled to
-    std 1e-4 (no jitter), so the seed only matters as provenance. The
-    returned embedding carries the KL trace; the final KL is always
-    checked against the plain (non-exaggerated) similarity matrix.
+    The cost is one m x m Gram matrix over the m distinct rows: exact
+    duplicates are found by comparing row bytes (after folding -0.0 into
+    0.0), the distinct rows are centred once, and both the neighbor
+    distances and the initialization come from g = u u^T. Returns
+    (distinct, inverse, p, y): the indices of the distinct rows in order
+    of first occurrence, each row's position among them, the [m, m] joint
+    probabilities and the [m, 2] initial coordinates.
     """
-    if not perplexity >= 1:  # exp(entropy) >= 1, so no search reaches it
-        raise ValueError(f"perplexity must be >= 1, got {perplexity}")
-    x = np.asarray(activations, dtype=np.float64)
+    x = np.array(activations, dtype=np.float64)  # private: edited in place
     if x.ndim != 2 or x.shape[1] < 2:
         raise ValueError(f"activations must be [N, d>=2], got {x.shape}")
     n = x.shape[0]
@@ -242,23 +280,49 @@ def tsne(activations, perplexity=30.0, iterations=1000, seed=0,
         raise ValueError(
             f"{n} points cannot support perplexity {perplexity} "
             f"(need N >= 3*perplexity)")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(
+            f"activation row {int(np.argmin(finite))} is not finite")
 
     # Exact-duplicate rows must come out coincident, but the descent cannot
     # guarantee that on its own: at this learning rate the dynamics of a
     # coincident pair are unstable, so any summation-order float asymmetry
     # (~1e-16) doubles every few iterations until the pair flies apart.
     # Embed the distinct rows only and broadcast coordinates back at the end.
-    unique, inverse = np.unique(x, axis=0, return_inverse=True)
-    m = unique.shape[0]
+    x += 0.0  # folds -0.0 into 0.0, so equal rows have equal bytes
+    distinct, inverse = _distinct_rows(x)
+    m = distinct.size
     if m < 3:
         raise ValueError(f"only {m} distinct activation rows; need >= 3")
     perp = min(float(perplexity), max(2.0, (m - 1) / 3.0))
 
-    cond = _binary_search_neighbors(_squared_distances(unique), perp)
+    u = x[distinct] if m < n else x
+    u -= u.mean(axis=0)  # distances do not change under a shift
+    g = u @ u.T
+    cond = _binary_search_neighbors(_distances_from_gram(g, np.diag(g)),
+                                    perp)
     p = (cond + cond.T) / (2.0 * m)
     p = np.maximum(p, 1e-12)
+    return distinct, inverse, p, _pca_init(g)
 
-    y = _pca_init(unique)
+
+def tsne(activations, perplexity=30.0, iterations=1000, seed=0,
+         labels=None, layer_tag="", exaggeration=12.0,
+         exaggeration_iters=250):
+    """Exact t-SNE to two dimensions.
+
+    The set-up (``_tsne_setup``) needs one Gram matrix over the distinct
+    rows; activation rows must be finite. Deterministic: initialization is
+    the top-2 PCA projection scaled to std 1e-4 (no jitter), each
+    component signed so that its largest-magnitude entry is positive, so
+    the seed only matters as provenance. The returned embedding carries
+    the KL trace; the final KL is always checked against the plain
+    (non-exaggerated) similarity matrix.
+    """
+    _check_tsne_arguments(perplexity, iterations)
+    _, inverse, p, y = _tsne_setup(activations, perplexity)
+    m = y.shape[0]
     lr = max(m / 12.0, 50.0)
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
@@ -292,7 +356,7 @@ def tsne(activations, perplexity=30.0, iterations=1000, seed=0,
     q, _ = q_matrix(y)
     final_kl = _kl_divergence(p, q)
     kl_trace.append(final_kl)
-    points = y[np.asarray(inverse).reshape(-1)]
+    points = y[inverse]
     return Embedding2D(points=points, labels=list(labels) if labels is not None
                        else [], layer_tag=layer_tag, initial_kl=initial_kl,
                        final_kl=final_kl, kl_trace=kl_trace)
@@ -301,14 +365,18 @@ def tsne(activations, perplexity=30.0, iterations=1000, seed=0,
 # -- layer activations --------------------------------------------------------------
 
 
-def layer_activations(model, trials, layer_tags=DEFAULT_LAYER_TAGS,
-                      batch_size=64):
-    """Flattened per-trial activation matrices at the tagged stages."""
+def _check_layer_tags(model, layer_tags):
     unknown = [t for t in layer_tags if t not in model.capture_tags]
     if unknown:
         raise ValueError(
             f"unknown capture tags {unknown}; model offers "
             f"{sorted(model.capture_tags)}")
+
+
+def layer_activations(model, trials, layer_tags=DEFAULT_LAYER_TAGS,
+                      batch_size=64):
+    """Flattened per-trial activation matrices at the tagged stages."""
+    _check_layer_tags(model, layer_tags)
     windows = np.stack([t.window for t in trials])[:, None, :, :]
     parts = {tag: [] for tag in layer_tags}
     for _, _, captured in model.infer(windows, batch_size,
@@ -427,10 +495,14 @@ def export_analysis(model, trials, out_dir, layer_tags=DEFAULT_LAYER_TAGS,
     """Run every analysis on a frozen model and write the output files.
 
     The embedding perplexity shrinks automatically when there are too few
-    trials to support the requested value. Returns {name: path}.
+    trials to support the requested value. The perplexity, the iteration
+    count and the layer tags are checked before any file is written.
+    Returns {name: path}.
     """
     import os
 
+    _check_tsne_arguments(perplexity, iterations)
+    _check_layer_tags(model, layer_tags)
     written = {}
     spectra, ranking = band_summary(model, grid_size=grid_size)
     path = os.path.join(out_dir, "spectra.csv")

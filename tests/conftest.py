@@ -110,3 +110,28 @@ def depthwise_oracle(x, k, padding, g):
                                                        k[:, :, i, j], gg)
     return (out.reshape(n, c * d, ho, wo),
             _crop(dxp, x.shape, kh, kw, padding), dk)
+
+
+def tsne_setup_oracle(x, perplexity):
+    """Float64 reference for the exact t-SNE set-up, row-width passes only.
+
+    Distinct rows by ``np.unique(axis=0)`` (a float comparison, so -0.0
+    equals 0.0) in sorted order, squared distances straight from the rows,
+    and the PCA initialization from a thin SVD of the centred rows, scaled
+    to std 1e-4. Returns (unique rows, inverse, joint P, init).
+    """
+    from adhdeepnet.explain import _binary_search_neighbors, \
+        _squared_distances
+
+    x = np.asarray(x, dtype=np.float64)
+    unique, inverse = np.unique(x, axis=0, return_inverse=True)
+    m = unique.shape[0]
+    perp = min(float(perplexity), max(2.0, (m - 1) / 3.0))
+    cond = _binary_search_neighbors(_squared_distances(unique), perp)
+    p = np.maximum((cond + cond.T) / (2.0 * m), 1e-12)
+    centered = unique - unique.mean(axis=0)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    y = centered @ vt[:2].T
+    std = y.std(axis=0)
+    std[std == 0] = 1.0
+    return unique, inverse.reshape(-1), p, y / std * 1e-4

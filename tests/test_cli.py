@@ -28,6 +28,9 @@ TINY_MODEL = [
 
 FAST_FIT = ["--epochs", "2", "--batch-size", "8", "--no-tune"]
 
+# what `explain` writes before it reaches the embeddings
+ANALYSIS_FILES = ("spectra.csv", "bands.csv", "maps.csv", "maps.svg")
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -212,6 +215,26 @@ def test_explain_perplexity_below_one_is_user_error(dataset_dir, tmp_path,
                    "--perplexity", "0", "--iterations", "50")
     assert code == 1
     assert "perplexity must be >= 1" in capsys.readouterr().err
+    for name in ANALYSIS_FILES:
+        assert not (tmp_path / "x" / name).exists(), name
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--iterations", "0"], "iterations must be >= 1"),
+    (["--iterations", "-3"], "iterations must be >= 1"),
+    (["--tags", "block1,nope"], "unknown capture tags"),
+], ids=["iterations-0", "iterations-neg", "unknown-tag"])
+def test_explain_bad_arguments_write_no_analysis(dataset_dir, tmp_path,
+                                                capsys, flags, message):
+    weights = tmp_path / "desk.weights"
+    build_adhdeepnet(desk_config(), seed=0).save_weights(weights)
+    out = tmp_path / "x"
+    code = run_cli("explain", "--preset", "desk", "--weights", str(weights),
+                   "--data", str(dataset_dir), "--out", str(out), *flags)
+    assert code == 1
+    assert message in capsys.readouterr().err
+    for name in ANALYSIS_FILES:
+        assert not (out / name).exists(), name
 
 
 def test_explain_truncated_weights_is_user_error(dataset_dir, tmp_path,

@@ -7,6 +7,7 @@ import pytest
 from scipy.cluster.vq import kmeans2
 from scipy.signal import firwin
 
+from conftest import tsne_setup_oracle
 from adhdeepnet.data import FS, CHANNELS, Trial, generate_synthetic, \
     segment_all
 from adhdeepnet.explain import (
@@ -21,6 +22,7 @@ from adhdeepnet.explain import (
     tsne,
     _binary_search_neighbors,
     _squared_distances,
+    _tsne_setup,
 )
 from adhdeepnet.model import ModelConfig, build_adhdeepnet
 
@@ -262,6 +264,95 @@ def test_tsne_kl_trace_descends_overall():
     assert embedding.kl_trace[0] == embedding.initial_kl
     assert embedding.kl_trace[-1] == embedding.final_kl
     assert embedding.final_kl < embedding.kl_trace[0]
+
+
+def test_tsne_rejects_non_finite_rows():
+    rng = np.random.default_rng(4)
+    for bad in (np.nan, np.inf, -np.inf):
+        x = rng.normal(size=(40, 6))
+        x[17, 2] = bad
+        x[23, 0] = bad
+        with pytest.raises(ValueError, match="activation row 17 is not "
+                                             "finite"):
+            tsne(x, perplexity=10.0, iterations=10)
+
+
+def test_tsne_rejects_fewer_than_one_iteration():
+    x = np.random.default_rng(0).normal(size=(30, 5))
+    for iterations in (0, -3):
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
+            tsne(x, perplexity=5.0, iterations=iterations)
+
+
+def planted_activations(n=60, d=40, seed=6):
+    """Rank-3 signal with well-separated variances, small noise, and
+    planted duplicates, one of them equal only up to the sign of a zero."""
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.normal(size=(d, 3)))[0].T
+    scores = rng.normal(size=(n, 3)) * np.array([9.0, 4.0, 1.5])
+    x = scores @ basis + 0.05 * rng.normal(size=(n, d)) + 3.0
+    x[11] = x[2]
+    x[30] = x[2]
+    x[45] = x[19]
+    x[7, 5] = 0.0
+    x[52] = x[7]
+    x[52, 5] = -0.0
+    return x
+
+
+def test_tsne_setup_matches_row_width_oracle():
+    x = planted_activations()
+    unique, oracle_inverse, oracle_p, oracle_y = tsne_setup_oracle(x, 12.0)
+    distinct, inverse, p, y = _tsne_setup(x, 12.0)
+    # same duplicate partition: 60 rows, 4 planted duplicates
+    assert distinct.size == unique.shape[0] == 56
+    perm = oracle_inverse[distinct]  # oracle row of each distinct row
+    assert sorted(perm) == list(range(56))
+    assert np.array_equal(oracle_inverse, perm[inverse])
+    assert np.array_equal(x[distinct], unique[perm])
+    # same P after the row permutation, within 1e-12 of its largest entry
+    expected = oracle_p[np.ix_(perm, perm)]
+    assert np.abs(p - expected).max() <= 1e-12 * expected.max()
+    # same init up to the sign of each column, within 1e-9 relative
+    expected = oracle_y[perm]
+    signs = np.sign(np.sum(expected * y, axis=0))
+    assert np.abs(expected * signs - y).max() <= 1e-9 * np.abs(y).max()
+
+
+def test_tsne_of_negated_activations_is_bitwise_equal():
+    x = planted_activations(seed=8)
+    _, _, p, y = _tsne_setup(x, 12.0)
+    _, _, p_neg, y_neg = _tsne_setup(-x, 12.0)
+    assert np.array_equal(p, p_neg)
+    assert np.array_equal(y, y_neg)
+    # the sign rule: each column's largest-magnitude entry is positive
+    assert np.all(y[np.abs(y).argmax(axis=0), [0, 1]] > 0)
+    first = tsne(x, perplexity=12.0, iterations=120)
+    second = tsne(-x, perplexity=12.0, iterations=120)
+    assert np.array_equal(first.points, second.points)
+    assert first.kl_trace == second.kl_trace
+
+
+def test_tsne_folds_signed_zeros_into_one_point():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(40, 6))
+    x[3, 1] = 0.0
+    x[8] = x[3]
+    x[8, 1] = -0.0
+    distinct, inverse, _, _ = _tsne_setup(x, 10.0)
+    assert distinct.size == 39
+    assert inverse[3] == inverse[8]
+    embedding = tsne(x, perplexity=10.0, iterations=200)
+    assert np.array_equal(embedding.points[3], embedding.points[8])
+
+
+def test_tsne_of_rank_one_activations_is_finite():
+    rng = np.random.default_rng(10)
+    x = np.outer(rng.normal(size=40), rng.normal(size=12))
+    embedding = tsne(x, perplexity=10.0, iterations=200)
+    assert embedding.points.shape == (40, 2)
+    assert np.all(np.isfinite(embedding.points))
+    assert np.isfinite(embedding.final_kl)
 
 
 # -- layer activations -------------------------------------------------------------------
