@@ -423,6 +423,7 @@ def cmd_evaluate(config):
                   hyperparams=hyperparams,
                   tune_iterations=int(bo["iterations"]),
                   tune_seed_points=int(bo["seed_points"]),
+                  tune_kappa=float(bo["kappa"]),
                   workers=config.workers, out_dir=str(out),
                   inner_epochs=int(bo["inner_epochs"]),
                   inner_patience=int(bo["inner_patience"]),

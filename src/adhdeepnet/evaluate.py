@@ -288,7 +288,8 @@ def run_fold(task):
         best, bo = optimize.tune(
             train_trials, inner, iterations=task["tune_iterations"],
             seed=fold_seed % (2 ** 31),
-            n_seed_points=task["tune_seed_points"])
+            n_seed_points=task["tune_seed_points"],
+            kappa=task.get("tune_kappa", optimize.KAPPA_DEFAULT))
         hyperparams = best.as_dict()
         tuning_evaluations = len(bo.history)
 
@@ -415,8 +416,9 @@ def _run_folds(tasks, workers, out_dir=None):
 
 def _run_protocol(recordings, combos, mode, k=10, seed=0, config=None,
                   hyperparams=None, tune_iterations=25, tune_seed_points=10,
-                  workers=1, out_dir=None, trainer_factory=None,
-                  build_fn=None, inner_epochs=30, inner_patience=6,
+                  tune_kappa=optimize.KAPPA_DEFAULT, workers=1,
+                  out_dir=None, trainer_factory=None, build_fn=None,
+                  inner_epochs=30, inner_patience=6,
                   final_epochs=100, final_patience=10, variant="",
                   hash_extra=None):
     """Every protocol's fold loop: k outer folds, each tuned once (or run
@@ -429,7 +431,7 @@ def _run_protocol(recordings, combos, mode, k=10, seed=0, config=None,
     settings = {
         "hyperparams": dict(hyperparams) if hyperparams else None,
         "tune_iterations": tune_iterations,
-        "tune_seed_points": tune_seed_points,
+        "tune_seed_points": tune_seed_points, "tune_kappa": tune_kappa,
         "inner_epochs": inner_epochs, "inner_patience": inner_patience,
         "final_epochs": final_epochs, "final_patience": final_patience,
         "trainer_factory": trainer_factory, "build_fn": build_fn,

@@ -5,13 +5,13 @@ two-fold subject-disjoint objective.
 The engine minimizes g = negative pooled accuracy. Continuous dimensions
 are min-max scaled to [0,1] (log10 first where flagged); categoricals are
 one-hot encoded and compared by overlap. The first iterations are
-quasi-random (scrambled Sobol) seeds, after which each proposal maximizes
-the acquisition over a Sobol candidate sweep with local refinement,
-enumerating every categorical combination.
+quasi-random (scrambled Sobol) seeds. After them, each proposal scores one
+encoded candidate matrix: every scrambled-Sobol continuous point paired
+with every categorical combination, continuous-major. The best few rows
+then get a local refinement of their continuous coordinates.
 
 Note the acquisition SUBTRACTS kappa*sigma, penalizing uncertainty: the
-search leans toward exploitation. ``kappa_sign`` flips the penalty into a
-UCB-style exploration bonus for callers who want the conventional form.
+search leans toward exploitation.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from scipy.stats import qmc
 from .data import LABELS
 
 KAPPA_DEFAULT = 0.1
+N_CANDIDATES = 2048  # continuous Sobol points per proposal
+N_REFINE = 8         # top candidates polished by local search
+GP_RESTARTS = 64     # random kernel settings tried per GP fit
 
 
 class GpError(RuntimeError):
@@ -117,27 +120,6 @@ class SearchSpace:
         return (len(self.continuous)
                 + sum(len(d.choices) for d in self.categorical))
 
-    def split_encoded(self, x):
-        """Encoded matrix -> (continuous block, categorical index matrix)."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        nc = len(self.continuous)
-        cont = x[:, :nc]
-        cats = np.zeros((x.shape[0], len(self.categorical)), dtype=np.int64)
-        i = nc
-        for j, d in enumerate(self.categorical):
-            cats[:, j] = np.argmax(x[:, i:i + len(d.choices)], axis=1)
-            i += len(d.choices)
-        return cont, cats
-
-    def assemble(self, cont_row, cat_indices):
-        """Inverse of split_encoded for one point."""
-        vec = list(np.clip(cont_row, 0.0, 1.0))
-        for d, idx in zip(self.categorical, cat_indices):
-            onehot = [0.0] * len(d.choices)
-            onehot[int(idx)] = 1.0
-            vec.extend(onehot)
-        return np.asarray(vec, dtype=np.float64)
-
     def sobol_candidates(self, n, seed):
         """n quasi-random parameter dicts covering the whole space."""
         d = max(len(self.continuous) + len(self.categorical), 1)
@@ -219,15 +201,16 @@ class GaussianProcess:
 
     # kernel between encoded matrices
     def _k(self, xa, xb):
-        ca, ga = self.space.split_encoded(xa)
-        cb, gb = self.space.split_encoded(xb)
-        if ca.shape[1]:
-            d2 = ((ca[:, None, :] - cb[None, :, :]) ** 2).sum(-1)
+        nc = len(self.space.continuous)
+        if nc:
+            d2 = ((xa[:, None, :nc] - xb[None, :, :nc]) ** 2).sum(-1)
             k = _matern52(d2 / self.length ** 2)
         else:
-            k = np.ones((ca.shape[0], cb.shape[0]))
-        if ga.shape[1]:
-            mismatches = (ga[:, None, :] != gb[None, :, :]).sum(-1)
+            k = np.ones((xa.shape[0], xb.shape[0]))
+        n_cat = len(self.space.categorical)
+        if n_cat:
+            # one-hot blocks: each matching categorical adds exactly 1
+            mismatches = n_cat - xa[:, nc:] @ xb[:, nc:].T
             k = k * (self.overlap ** mismatches)
         return (self.signal ** 2) * k
 
@@ -255,7 +238,7 @@ class GaussianProcess:
         return float(-0.5 * y @ alpha - np.log(np.diag(lower)).sum()
                      - 0.5 * len(y) * np.log(2 * np.pi))
 
-    def fit(self, x, y, restarts=64, seed=0):
+    def fit(self, x, y, seed=0):
         """Choose kernel hyperparameters by marginal likelihood.
 
         Gradient-free: a seeded random search (plus sane defaults) followed
@@ -272,7 +255,7 @@ class GaussianProcess:
         rng = np.random.default_rng(seed)
         candidates = [(1.0, 0.5, 0.1, 0.5), (1.0, 1.0, 0.01, 0.5),
                       (0.5, 0.2, 0.05, 0.8)]
-        for _ in range(restarts):
+        for _ in range(GP_RESTARTS):
             candidates.append((
                 10 ** rng.uniform(-1, 0.5),    # signal
                 10 ** rng.uniform(-1.3, 0.5),  # length
@@ -332,21 +315,26 @@ def expected_improvement(mean, std, best):
     return np.where(ok, ei, out)
 
 
-def acquisition(mean, std, best, kappa=KAPPA_DEFAULT, kappa_sign=-1.0):
-    """EI + kappa_sign * kappa * sigma. The default sign penalizes sigma."""
-    if kappa < 0:
+def _check_kappa(kappa):
+    if not kappa >= 0:  # NaN fails too
         raise ValueError(f"kappa must be non-negative, got {kappa}")
+
+
+def acquisition(mean, std, best, kappa=KAPPA_DEFAULT):
+    """EI - kappa * sigma: the uncertainty is penalized, not rewarded."""
+    _check_kappa(kappa)
     return expected_improvement(mean, std, best) \
-        + kappa_sign * kappa * np.asarray(std, dtype=np.float64)
+        - kappa * np.asarray(std, dtype=np.float64)
 
 
-def propose_next(history, space, kappa=KAPPA_DEFAULT, seed=0,
-                 kappa_sign=-1.0, n_candidates=2048, n_refine=8):
-    """Acquisition argmax over Sobol candidates with local refinement.
+def propose_next(history, space, kappa=KAPPA_DEFAULT, seed=0):
+    """Acquisition argmax over one encoded candidate matrix, then a local
+    refinement.
 
-    Every categorical combination is scored for each continuous candidate;
-    the top ``n_refine`` points get a shrinking Gaussian polish on their
-    continuous coordinates, clamped to the unit box.
+    The matrix pairs each of ``N_CANDIDATES`` scrambled-Sobol continuous
+    points with every categorical combination, continuous-major. The top
+    ``N_REFINE`` rows get a shrinking Gaussian polish on their continuous
+    coordinates, clamped to the unit box.
     """
     if not history:
         raise ValueError("propose_next needs at least one observation")
@@ -359,34 +347,33 @@ def propose_next(history, space, kappa=KAPPA_DEFAULT, seed=0,
     nc = len(space.continuous)
     if nc:
         sampler = qmc.Sobol(d=nc, scramble=True, seed=seed)
-        cont = sampler.random(n_candidates)
+        cont = sampler.random(N_CANDIDATES)
     else:
         cont = np.zeros((1, 0))
-    cat_combos = list(product(*(range(len(d.choices))
-                                for d in space.categorical))) or [()]
-    cand = np.stack([space.assemble(c, combo)
-                     for c in cont for combo in cat_combos])
+    # one row per categorical combination; one empty row without any
+    onehots = np.array([np.concatenate([np.zeros(0), *rows]) for rows in
+                        product(*(np.eye(len(d.choices))
+                                  for d in space.categorical))])
+    cand = np.hstack([np.repeat(cont, len(onehots), axis=0),
+                      np.tile(onehots, (len(cont), 1))])
     mean, std = gp.predict(cand)
-    score = acquisition(mean, std, best, kappa, kappa_sign)
+    score = acquisition(mean, std, best, kappa)
     order = np.argsort(score)[::-1]
 
-    top = [cand[i] for i in order[:n_refine]]
     best_vec = cand[order[0]]
     best_score = score[order[0]]
     if nc:
-        for vec in top:
-            current = vec.copy()
-            c0, g0 = space.split_encoded(current)
-            cur_cont = c0[0]
+        for vec in cand[order[:N_REFINE]]:
+            cur_cont = vec[:nc]
             step = 0.08
             for _ in range(24):
-                trial_cont = np.clip(
+                trial = vec.copy()
+                trial[:nc] = np.clip(
                     cur_cont + rng.normal(0.0, step, nc), 0.0, 1.0)
-                trial = space.assemble(trial_cont, g0[0])
                 m, s = gp.predict(trial[None])
-                sc = acquisition(m, s, best, kappa, kappa_sign)[0]
+                sc = acquisition(m, s, best, kappa)[0]
                 if sc > best_score:
-                    best_score, best_vec, cur_cont = sc, trial, trial_cont
+                    best_score, best_vec, cur_cont = sc, trial, trial[:nc]
                 step *= 0.9
     return space.decode(best_vec)
 
@@ -461,15 +448,24 @@ class BoResult:
 
 
 def minimize(objective, space, iterations=100, seed=0, n_seed_points=10,
-             kappa=KAPPA_DEFAULT, kappa_sign=-1.0, history_path=None,
-             on_failure="raise"):
+             kappa=KAPPA_DEFAULT, history_path=None, on_failure="raise"):
     """Sequential model-based minimization of ``objective(params)``.
 
     The first ``n_seed_points`` iterations evaluate scrambled-Sobol points;
     the rest maximize the acquisition under a GP fitted to all history.
     ``on_failure="worst"`` records crashed evaluations as g=0 (the worst
-    possible negative accuracy) instead of propagating.
+    possible negative accuracy) instead of propagating. Bad arguments
+    raise ValueError before the history file is opened or anything is
+    evaluated.
     """
+    if iterations < 1:
+        raise ValueError(f"iterations must be at least 1, got {iterations}")
+    _check_kappa(kappa)
+    if iterations > n_seed_points and n_seed_points < 2:
+        raise ValueError(
+            f"n_seed_points must be at least 2 for the GP proposals after "
+            f"the seed points, got {n_seed_points} with {iterations} "
+            f"iterations")
     seeds = space.sobol_candidates(min(n_seed_points, iterations), seed=seed)
     history = []
     log_fh = open(history_path, "w", encoding="utf-8") if history_path \
@@ -481,7 +477,7 @@ def minimize(objective, space, iterations=100, seed=0, n_seed_points=10,
             else:
                 params = propose_next(
                     [(h[0], h[1]) for h in history], space, kappa=kappa,
-                    seed=seed * 100003 + t, kappa_sign=kappa_sign)
+                    seed=seed * 100003 + t)
             started = time.perf_counter()
             try:
                 g = float(objective(params))
@@ -511,8 +507,7 @@ def minimize(objective, space, iterations=100, seed=0, n_seed_points=10,
 
 
 def tune(trials, trainer, space=None, iterations=100, seed=0,
-         n_seed_points=10, kappa=KAPPA_DEFAULT, kappa_sign=-1.0,
-         history_path=None):
+         n_seed_points=10, kappa=KAPPA_DEFAULT, history_path=None):
     """Tune training hyperparameters on one outer fold's training subjects.
 
     Each iteration draws a fresh subject-disjoint stratified bipartition of
@@ -534,8 +529,7 @@ def tune(trials, trainer, space=None, iterations=100, seed=0,
 
     result = minimize(objective, space, iterations=iterations, seed=seed,
                       n_seed_points=n_seed_points, kappa=kappa,
-                      kappa_sign=kappa_sign, history_path=history_path,
-                      on_failure="worst")
+                      history_path=history_path, on_failure="worst")
     if all(h[1] == 0.0 for h in result.history):
         raise TuningError("all tuning evaluations failed (g=0 throughout)")
     return HyperParams.from_dict(result.best_params), result

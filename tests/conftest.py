@@ -1,7 +1,12 @@
 """Shared numerical oracles for the test suite."""
 
-import numpy as np
+from itertools import product
 
+import numpy as np
+from scipy.stats import qmc
+
+from adhdeepnet.optimize import (GaussianProcess, expected_improvement,
+                                 _matern52)
 from adhdeepnet.tensor import Tensor
 
 
@@ -135,3 +140,91 @@ def tsne_setup_oracle(x, perplexity):
     std = y.std(axis=0)
     std[std == 0] = 1.0
     return unique, inverse.reshape(-1), p, y / std * 1e-4
+
+
+def split_encoded_oracle(space, x):
+    """Encoded matrix -> (continuous block, categorical index matrix), each
+    index the argmax of its one-hot block."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    nc = len(space.continuous)
+    cats = np.zeros((x.shape[0], len(space.categorical)), dtype=np.int64)
+    i = nc
+    for j, d in enumerate(space.categorical):
+        cats[:, j] = np.argmax(x[:, i:i + len(d.choices)], axis=1)
+        i += len(d.choices)
+    return x[:, :nc], cats
+
+
+def assemble_oracle(space, cont_row, cat_indices):
+    """One encoded point from unit continuous values and choice indices."""
+    vec = list(np.clip(cont_row, 0.0, 1.0))
+    for d, idx in zip(space.categorical, cat_indices):
+        onehot = [0.0] * len(d.choices)
+        onehot[int(idx)] = 1.0
+        vec.extend(onehot)
+    return np.asarray(vec, dtype=np.float64)
+
+
+def candidate_grid_oracle(space, cont):
+    """Every continuous row paired with every categorical combination,
+    continuous-major, one ``assemble_oracle`` call per point."""
+    combos = list(product(*(range(len(d.choices))
+                            for d in space.categorical))) or [()]
+    return np.stack([assemble_oracle(space, c, combo)
+                     for c in cont for combo in combos])
+
+
+class OracleGaussianProcess(GaussianProcess):
+    """The GP with its kernel computed from categorical index matrices:
+    Matern-5/2 on the continuous block times overlap ** (number of
+    categoricals whose argmax indices differ)."""
+
+    def _k(self, xa, xb):
+        ca, ga = split_encoded_oracle(self.space, xa)
+        cb, gb = split_encoded_oracle(self.space, xb)
+        if ca.shape[1]:
+            d2 = ((ca[:, None, :] - cb[None, :, :]) ** 2).sum(-1)
+            k = _matern52(d2 / self.length ** 2)
+        else:
+            k = np.ones((ca.shape[0], cb.shape[0]))
+        if ga.shape[1]:
+            mismatches = (ga[:, None, :] != gb[None, :, :]).sum(-1)
+            k = k * (self.overlap ** mismatches)
+        return (self.signal ** 2) * k
+
+
+def propose_next_oracle(history, space, kappa, seed, n_candidates=2048,
+                        n_refine=8):
+    """Reference proposal: ``OracleGaussianProcess``, a per-point candidate
+    grid, EI + (-1) * kappa * sigma, and a refinement that re-assembles
+    every trial point from its continuous part and choice indices."""
+    def acq(mean, std):
+        return expected_improvement(mean, std, best) \
+            + -1.0 * kappa * np.asarray(std, dtype=np.float64)
+
+    x = np.stack([h[0] for h in history])
+    y = np.asarray([h[1] for h in history], dtype=np.float64)
+    gp = OracleGaussianProcess(space).fit(x, y, seed=seed)
+    best = float(y.min())
+    rng = np.random.default_rng(seed)
+    nc = len(space.continuous)
+    cont = qmc.Sobol(d=nc, scramble=True, seed=seed).random(n_candidates) \
+        if nc else np.zeros((1, 0))
+    cand = candidate_grid_oracle(space, cont)
+    score = acq(*gp.predict(cand))
+    order = np.argsort(score)[::-1]
+    best_vec, best_score = cand[order[0]], score[order[0]]
+    if nc:
+        for vec in [cand[i] for i in order[:n_refine]]:
+            c0, g0 = split_encoded_oracle(space, vec.copy())
+            cur_cont = c0[0]
+            step = 0.08
+            for _ in range(24):
+                trial_cont = np.clip(
+                    cur_cont + rng.normal(0.0, step, nc), 0.0, 1.0)
+                trial = assemble_oracle(space, trial_cont, g0[0])
+                sc = acq(*gp.predict(trial[None]))[0]
+                if sc > best_score:
+                    best_score, best_vec, cur_cont = sc, trial, trial_cont
+                step *= 0.9
+    return space.decode(best_vec)

@@ -292,6 +292,60 @@ def test_tune_writes_history_and_best_params(tmp_path, monkeypatch):
     assert payload["best_params"]["optimizer_kind"] == "Adam"
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--seed-points", "1", "--iterations", "3"),
+     "n_seed_points must be at least 2"),
+    (("--seed-points", "0"), "n_seed_points must be at least 2"),
+    (("--iterations", "0"), "iterations must be at least 1, got 0"),
+    (("--iterations", "-2"), "iterations must be at least 1, got -2"),
+    (("--kappa", "-1"), "kappa must be non-negative, got -1.0"),
+    (("--kappa", "nan"), "kappa must be non-negative, got nan"),
+], ids=["seed-points-1", "seed-points-0", "iterations-0", "iterations-neg",
+        "kappa-neg", "kappa-nan"])
+def test_tune_bad_arguments_fail_before_any_fit(dataset_dir, tmp_path,
+                                                capsys, monkeypatch, flags,
+                                                message):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("an inner fit ran")
+
+    monkeypatch.setattr(cli.Trainer, "fit", no_fit)
+    out = tmp_path / "tuned"
+    code = run_cli("tune", "--data", str(dataset_dir), "--out", str(out),
+                   *TINY_MODEL, *flags)
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / "bo_history.jsonl").exists()
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("evaluate", ()), ("ablate", ("--variants", "full")),
+])
+def test_protocol_tunes_at_configured_kappa(dataset_dir, tmp_path,
+                                            monkeypatch, command, extra):
+    from adhdeepnet import optimize
+
+    seen = []
+
+    def fake_tune(trials, trainer, **kwargs):
+        seen.append(kwargs["kappa"])
+        hp = optimize.HyperParams(learning_rate=1e-3, dropout_rate=0.3,
+                                  batch_size=8, norm_rate=1.0,
+                                  optimizer_kind="Adam")
+        return hp, optimize.BoResult(best_params=hp.as_dict(), best_g=-0.5,
+                                     history=[(None, -0.5, hp.as_dict())])
+
+    monkeypatch.setattr(optimize, "tune", fake_tune)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bo": {"kappa": 0.7}}))
+    out = tmp_path / "run"
+    assert run_cli(command, "--config", str(config), "--data",
+                   str(dataset_dir), "--out", str(out), "--k", "2",
+                   *TINY_MODEL, "--epochs", "1", *extra) == 0
+    assert seen == [0.7, 0.7]
+    assert json.loads((out / "run_config.json").read_text())["bo"]["kappa"] \
+        == 0.7
+
+
 # -- flag handling, seeds, exit codes ---------------------------------------
 
 

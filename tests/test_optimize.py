@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import norm, qmc
 
 from adhdeepnet.data import generate_synthetic, segment_all
 from adhdeepnet.optimize import (
@@ -25,6 +25,8 @@ from adhdeepnet.optimize import (
     stratified_bipartition,
     tune,
 )
+from conftest import (OracleGaussianProcess, candidate_grid_oracle,
+                      propose_next_oracle)
 
 
 def cohort(n_per_class, seconds=8, seed=0):
@@ -232,11 +234,10 @@ def test_acquisition_penalizes_uncertainty_by_default():
     ei = expected_improvement(mu, sigma, 0.5)
     acq = acquisition(mu, sigma, 0.5, kappa=0.1)
     assert np.allclose(acq, ei - 0.1 * sigma)
-    boosted = acquisition(mu, sigma, 0.5, kappa=0.1, kappa_sign=+1.0)
-    assert np.allclose(boosted, ei + 0.1 * sigma)
     assert np.allclose(acquisition(mu, sigma, 0.5, kappa=0.0), ei)
-    with pytest.raises(ValueError, match="non-negative"):
-        acquisition(mu, sigma, 0.5, kappa=-0.1)
+    for kappa in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="non-negative"):
+            acquisition(mu, sigma, 0.5, kappa=kappa)
 
 
 def test_propose_next_is_deterministic():
@@ -272,6 +273,82 @@ def test_propose_next_enumerates_categorical_choices():
                         1.0 + (u - 0.5) ** 2))
     prop = propose_next(history, space, seed=0)
     assert prop["kind"] == "good"
+
+
+# -- the encoded candidate matrix against the index-matrix reference ----------------
+
+
+REFERENCE_SPACES = {
+    "default": default_space,
+    "continuous-only": lambda: SearchSpace([
+        Continuous("a", 1e-3, 1.0, log=True), Continuous("b", -2.0, 5.0)]),
+    "categorical-only": lambda: SearchSpace([
+        Categorical("kind", ("x", "y", "z")),
+        Categorical("size", (8, 16)),
+        Categorical("flag", (True, False))]),
+    # categoricals declared around the continuous dimensions
+    "mixed": lambda: SearchSpace([
+        Categorical("kind", ("x", "y", "z")), Continuous("u", 0.0, 1.0),
+        Categorical("flag", (True, False)),
+        Continuous("v", 1e-2, 10.0, log=True)]),
+}
+
+
+def reference_history(space, seed, n=7):
+    rng = np.random.default_rng([seed, 11])
+    return [(space.encode(p), float(rng.normal()))
+            for p in space.sobol_candidates(n, seed=seed)]
+
+
+def reference_grid(space, seed, n=64):
+    nc = len(space.continuous)
+    cont = qmc.Sobol(d=nc, scramble=True, seed=seed).random(n) \
+        if nc else np.zeros((1, 0))
+    return candidate_grid_oracle(space, cont)
+
+
+@pytest.mark.parametrize("shape", sorted(REFERENCE_SPACES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kernel_and_posterior_match_index_reference_bitwise(shape, seed):
+    space = REFERENCE_SPACES[shape]()
+    history = reference_history(space, seed)
+    x = np.stack([h[0] for h in history])
+    y = np.array([h[1] for h in history])
+    grid = reference_grid(space, seed)
+    gp = GaussianProcess(space, signal=1.3, length=0.3, noise=0.05,
+                         overlap=0.37)
+    oracle = OracleGaussianProcess(space, signal=1.3, length=0.3,
+                                   noise=0.05, overlap=0.37)
+    assert np.array_equal(gp._k(x, grid), oracle._k(x, grid))
+    assert np.array_equal(gp._k(x, x), oracle._k(x, x))
+
+    gp.fit(x, y, seed=seed)
+    oracle.fit(x, y, seed=seed)
+    assert (gp.signal, gp.length, gp.noise, gp.overlap) == \
+        (oracle.signal, oracle.length, oracle.noise, oracle.overlap)
+    for got, want in zip(gp.predict(grid), oracle.predict(grid)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", sorted(REFERENCE_SPACES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_propose_next_matches_per_point_reference(shape, seed, monkeypatch):
+    space = REFERENCE_SPACES[shape]()
+    history = reference_history(space, seed)
+    kappa = (0.1, 0.0, 0.5)[seed]
+    scored = []
+    predict = GaussianProcess.predict
+
+    def recording_predict(self, xstar):
+        scored.append(np.array(xstar))
+        return predict(self, xstar)
+
+    monkeypatch.setattr(GaussianProcess, "predict", recording_predict)
+    got = propose_next(history, space, kappa=kappa, seed=seed)
+    monkeypatch.undo()
+    assert got == propose_next_oracle(history, space, kappa, seed)
+    # the candidate matrix itself, row for row
+    assert np.array_equal(scored[0], reference_grid(space, seed, n=2048))
 
 
 # -- inner objective ----------------------------------------------------------------
@@ -419,6 +496,9 @@ def test_minimize_single_iteration():
                       seed=0)
     assert len(result.history) == 1
     assert result.best_g == result.history[0][1]
+    # a seed-points-only run needs no second observation for the GP
+    assert len(minimize(lambda p: p["u"], quadratic_space(), iterations=1,
+                        seed=0, n_seed_points=1).history) == 1
 
 
 def test_minimize_writes_jsonl_history(tmp_path):
