@@ -280,6 +280,9 @@ def run_fold(task):
     factory = task.get("trainer_factory") or Trainer
     build_fn = task.get("build_fn") or build_adhdeepnet
 
+    # built before tuning, so a bad final epoch count fails before any fit
+    final = factory(config, epochs=task["final_epochs"],
+                    patience=task["final_patience"], build_fn=build_fn)
     hyperparams = task.get("hyperparams")
     tuning_evaluations = None
     if hyperparams is None:
@@ -297,8 +300,6 @@ def run_fold(task):
     core, val = _validation_slice(train_trials, rng)
     if val:
         _assert_subject_disjoint(core, val, f"fold {fold} validation slice")
-    final = factory(config, epochs=task["final_epochs"],
-                    patience=task["final_patience"], build_fn=build_fn)
 
     records = []
     combos = task.get("combos") or [None]

@@ -194,13 +194,15 @@ class Model:
     def infer(self, x, batch_size, capture=()):
         """Run an [N,1,E,T] array through ``forward(training=False)``,
         ``batch_size`` trials at a time; yields (start, logits, captured)
-        per batch, with the logits as an array."""
+        per batch, with the logits as an array. Each forward records no
+        graph; the grad-off state never spans a ``yield``, so a caller may
+        train between batches."""
         for start in range(0, len(x), batch_size):
-            out = self.forward(Tensor(x[start:start + batch_size]),
-                               training=False, capture=capture)
+            with tz.no_grad():
+                out = self.forward(Tensor(x[start:start + batch_size]),
+                                   training=False, capture=capture)
             logits, captured = (out[0].data, out[1]) if capture \
                 else (out.data, {})
-            del out  # frees this batch's graph before the next one runs
             yield start, logits, captured
 
     def predict_proba(self, x, batch_size=128):
@@ -268,10 +270,11 @@ class Model:
         x = Tensor(np.zeros(
             (1, 1, self.config.channels, self.config.time_steps), np.float32))
         rows = []
-        for name, layer in self.stages:
-            x = layer(x, training=False)
-            count = layer.parameter_count()
-            rows.append((name, layer.kind, list(x.shape), count))
+        with tz.no_grad():
+            for name, layer in self.stages:
+                x = layer(x, training=False)
+                count = layer.parameter_count()
+                rows.append((name, layer.kind, list(x.shape), count))
         rows.append(("softmax", "Softmax", list(x.shape), 0))
         lines = [f"{'layer':<22}{'kind':<16}{'output shape':<22}{'params':>8}"]
         for name, kind, shape, count in rows:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtr
 from scipy.stats import qmc
 
 from .data import LABELS
@@ -311,7 +311,10 @@ def expected_improvement(mean, std, best):
     out = np.maximum(improve, 0.0)
     ok = std > 0
     z = np.where(ok, improve / np.where(ok, std, 1.0), 0.0)
-    ei = improve * _norm.cdf(z) + std * _norm.pdf(z)
+    # scipy.stats.norm's own cdf and pdf, without its per-call argument
+    # handling (refinement calls this on one row at a time)
+    pdf = np.exp(-z ** 2 / 2.0) / np.sqrt(2 * np.pi)
+    ei = improve * ndtr(z) + std * pdf
     return np.where(ok, ei, out)
 
 

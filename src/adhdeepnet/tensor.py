@@ -10,7 +10,10 @@ The computation graph is rebuilt on every forward pass (define-by-run):
 each op returns a new Tensor holding a backward closure plus references to
 its parents. ``backward()`` on a scalar tensor walks the graph once in
 reverse topological order and accumulates gradients on every tensor that
-requires them.
+requires them. Inside ``no_grad()`` no graph is recorded at all: every op
+returns a leaf with no parents, no backward closure and
+``requires_grad=False``, so an inference pass keeps none of the
+intermediates that only the backward pass would read.
 
 All convolutions share one primitive that correlates along time by rFFT
 and contracts channels and height taps in one einsum; one-sample-wide
@@ -25,6 +28,7 @@ replay at ``--workers 1`` stays byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 import warnings
@@ -40,6 +44,27 @@ class ShapeError(ValueError):
 
 class GraphError(RuntimeError):
     """Misuse of the autodiff graph (non-scalar backward, repeated backward)."""
+
+
+_grad_enabled = True
+
+
+def grad_enabled():
+    """False inside ``no_grad()``."""
+    return _grad_enabled
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block (nestable; the previous state
+    returns on exit, also when the block raises)."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _as_array(data, dtype):
@@ -70,7 +95,8 @@ class Tensor:
     @staticmethod
     def _from_op(data, parents, backward_fn):
         out = Tensor(data)
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _grad_enabled and any(p.requires_grad
+                                                  for p in parents)
         if out.requires_grad:
             out._parents = tuple(parents)
             out._backward_fn = backward_fn

@@ -69,6 +69,8 @@ class Trainer:
 
     def __init__(self, base_config, epochs=100, patience=10,
                  build_fn=build_adhdeepnet):
+        if epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {epochs}")
         self.base_config = base_config
         self.epochs = epochs
         self.patience = patience
@@ -84,13 +86,15 @@ class Trainer:
         on a non-finite batch or validation loss.
         """
         hp = dict(hyperparams)
+        batch_size = int(hp["batch_size"])
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         config = replace(self.base_config,
                          dropout_rate=float(hp["dropout_rate"]))
         rng = np.random.default_rng([seed, 101])
         model = self.build_fn(config, seed=seed)
         optimizer = make_optimizer(hp["optimizer_kind"],
                                    float(hp["learning_rate"]))
-        batch_size = int(hp["batch_size"])
         norm_rate = float(hp["norm_rate"])
 
         x, y = trials_to_arrays(train_trials)

@@ -3,11 +3,21 @@
 from itertools import product
 
 import numpy as np
+import pytest
 from scipy.stats import qmc
 
 from adhdeepnet.optimize import (GaussianProcess, expected_improvement,
                                  _matern52)
-from adhdeepnet.tensor import Tensor
+from adhdeepnet.tensor import Tensor, grad_enabled
+
+
+@pytest.fixture(autouse=True)
+def _gradients_enabled_around_every_test():
+    """A grad-off state leaked by one test would leave every later
+    training step without a graph."""
+    assert grad_enabled(), "gradients were off when the test started"
+    yield
+    assert grad_enabled(), "the test left gradients off"
 
 
 def numeric_grad(build_scalar, array, h=1e-3):

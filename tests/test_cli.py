@@ -12,7 +12,7 @@ import pytest
 
 from adhdeepnet import cli
 from adhdeepnet.data import load_dataset, segment_all
-from adhdeepnet.model import build_adhdeepnet, desk_config
+from adhdeepnet.model import Model, build_adhdeepnet, desk_config
 from adhdeepnet.tensor import save_tensors
 
 TINY_MODEL = [
@@ -344,6 +344,42 @@ def test_protocol_tunes_at_configured_kappa(dataset_dir, tmp_path,
     assert seen == [0.7, 0.7]
     assert json.loads((out / "run_config.json").read_text())["bo"]["kappa"] \
         == 0.7
+
+
+FOLDS = ("--k", "2")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("train", "--epochs", "0"), "epochs must be >= 1, got 0"),
+    (("train", "--epochs", "2", "--batch-size", "-4"),
+     "batch_size must be >= 1, got -4"),
+    (("evaluate", *FOLDS, *FAST_FIT, "--batch-size", "-4"),
+     "batch_size must be >= 1, got -4"),
+    (("evaluate", *FOLDS, *FAST_FIT, "--batch-size", "0"),
+     "batch_size must be >= 1, got 0"),
+    (("evaluate", *FOLDS, *FAST_FIT, "--epochs", "0"),
+     "epochs must be >= 1, got 0"),
+    (("evaluate", *FOLDS, "--inner-epochs", "0"),
+     "epochs must be >= 1, got 0"),
+    (("ablate", *FOLDS, "--variants", "full", *FAST_FIT, "--epochs", "-1"),
+     "epochs must be >= 1, got -1"),
+    (("tune", "--inner-epochs", "0"), "epochs must be >= 1, got 0"),
+], ids=["train-epochs-0", "train-batch-neg", "evaluate-batch-neg",
+        "evaluate-batch-0", "evaluate-epochs-0", "evaluate-inner-epochs-0",
+        "ablate-epochs-neg", "tune-inner-epochs-0"])
+def test_bad_epochs_and_batch_sizes_fail_before_any_forward(
+        dataset_dir, tmp_path, capsys, monkeypatch, argv, message):
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a forward pass ran")  # would exit 2
+
+    monkeypatch.setattr(Model, "forward", no_forward)
+    out = tmp_path / "run"
+    code = run_cli(*argv, "--data", str(dataset_dir), "--out", str(out),
+                   "--seed", "3", *TINY_MODEL)
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    written = {p.name for p in out.rglob("*") if p.is_file()}
+    assert written <= {"run_config.json", "report.partial.json"}
 
 
 # -- flag handling, seeds, exit codes ---------------------------------------

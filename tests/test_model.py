@@ -1,12 +1,15 @@
 """Model assembly: shapes, parameter counts, ablation ordering, serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from adhdeepnet.model import (ConfigError, ModelConfig, build_adhdeepnet,
                               build_eegnet_baseline, desk_config,
                               parameter_count, predict_segment)
-from adhdeepnet.tensor import ShapeError, Tensor
+from adhdeepnet.nn import cross_entropy_loss
+from adhdeepnet.tensor import ShapeError, Tensor, grad_enabled
 
 
 FULL_PARAM_COUNT = 225_794  # golden: 6914 + 1168*72 + 26*72^2
@@ -45,6 +48,54 @@ def test_infer_batches_cover_a_ragged_input_in_order():
                                training=False).data
         np.testing.assert_array_equal(logits, single)
     assert all(captured == {} for _, _, captured in model.infer(x, 4))
+
+
+@pytest.mark.parametrize("preset", ["desk", "full"])
+def test_infer_matches_a_taped_forward_bitwise(preset):
+    model = build_adhdeepnet(
+        desk_config() if preset == "desk" else ModelConfig(), seed=5)
+    x = np.random.default_rng(5).standard_normal(
+        (3, 1, 19, 512)).astype(np.float32)
+    tags = tuple(model.capture_tags)
+    [(_, logits, captured)] = list(model.infer(x, 3, capture=tags))
+    taped, want = model.forward(Tensor(x), training=False, capture=tags)
+    assert taped.requires_grad
+    assert logits.tobytes() == taped.data.tobytes()
+    assert set(captured) == set(want)
+    for tag in tags:
+        assert captured[tag].tobytes() == want[tag].tobytes()
+
+
+def test_training_between_or_after_infer_batches_records_graphs():
+    model = build_adhdeepnet(small_config(), seed=3)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((6, 1, 19, 512)).astype(np.float32)
+    y = Tensor(np.eye(2, dtype=np.float32)[[0, 1, 0, 1]])
+    batches = model.infer(x, 2)
+    for _ in range(2):
+        next(batches)  # suspended at a yield: gradients stay on
+        assert grad_enabled()
+        for p in model.parameters():
+            p.zero_grad()
+        cross_entropy_loss(model.forward(Tensor(x[:4]), training=True,
+                                         rng=rng), y).backward()
+        assert all(p.grad is not None for p in model.parameters())
+    batches.close()  # abandoned with a batch left
+    assert grad_enabled()
+
+
+def test_full_model_inference_keeps_no_graph():
+    # with the training graph kept, 64 trials at batch 64 peak near 351 MiB
+    model = build_adhdeepnet(ModelConfig(), seed=0)
+    x = np.random.default_rng(0).standard_normal(
+        (64, 1, 19, 512)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        model.predict_proba(x, batch_size=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 20 < 150
 
 
 def test_param_count_deterministic_across_builds():

@@ -213,6 +213,28 @@ def test_expected_improvement_zero_variance():
     assert float(expected_improvement(-0.1, 0.0, 0.2)) == pytest.approx(0.3)
 
 
+def test_expected_improvement_matches_scipy_norm_bitwise():
+    rng = np.random.default_rng(17)
+    mean = np.concatenate([rng.normal(0.0, 1.0, 4000),
+                           [0.0, -0.0, -40.0, 40.0]])
+    std = np.concatenate([np.abs(rng.normal(0.0, 1.0, 4000)),
+                          [1.0, 1.0, 1.0, 1.0]])
+    std[:4000:50] = 0.0
+    for best in (0.2, -0.0):  # -0.0 makes z = -0.0 at mean = +0.0
+        improve = best - mean
+        ok = std > 0
+        z = np.where(ok, improve / np.where(ok, std, 1.0), 0.0)
+        want = np.where(ok, improve * norm.cdf(z) + std * norm.pdf(z),
+                        np.maximum(improve, 0.0))
+        got = expected_improvement(mean, std, best)
+        assert got.tobytes() == want.tobytes()
+        for i in range(0, len(mean), 97):  # refinement's one-row calls
+            assert expected_improvement(mean[i:i + 1], std[i:i + 1],
+                                        best).tobytes() == \
+                want[i:i + 1].tobytes()
+    assert abs(z).max() >= 40 and np.signbit(z[ok & (z == 0)]).any()
+
+
 def test_expected_improvement_closed_form_value():
     mu, sigma, best = 0.0, 1.0, 0.5
     z = (best - mu) / sigma

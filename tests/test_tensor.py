@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from adhdeepnet.tensor import (GraphError, ShapeError, Tensor, avg_pool,
                                batch_norm, concat, conv2d, depthwise_conv2d,
-                               dropout, elu, global_avg_pool, linear,
-                               load_tensors, log_softmax, matmul, relu,
-                               save_tensors, separable_conv2d, sigmoid,
-                               softmax)
+                               dropout, elu, global_avg_pool, grad_enabled,
+                               linear, load_tensors, log_softmax, matmul,
+                               no_grad, relu, save_tensors, separable_conv2d,
+                               sigmoid, softmax)
 
 from conftest import (check_gradients, conv2d_oracle, depthwise_oracle,
                       probe_weights)
@@ -613,6 +613,42 @@ def test_forward_determinism():
         return elu(conv2d(x, k, padding="same")).data
     a, b = run(), run()
     assert np.array_equal(a, b)
+
+
+# -- grad-off context ----------------------------------------------------------------------------
+
+
+def test_no_grad_ops_return_leaves():
+    w = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    x = Tensor(np.array([[3.0], [4.0]]))
+    with no_grad():
+        out = (elu(matmul(w, x)) * 2.0).sum()
+    assert not out.requires_grad
+    assert out._parents == () and out._backward_fn is None
+    np.testing.assert_array_equal(out.data, 22.0)
+    with pytest.raises(GraphError, match="no graph"):
+        out.backward()
+    assert w.grad is None
+
+
+def test_no_grad_nests_and_restores_after_an_exception():
+    assert grad_enabled()
+    with no_grad():
+        with no_grad():
+            assert not grad_enabled()
+        assert not grad_enabled()
+        with pytest.raises(KeyError):
+            with no_grad():
+                raise KeyError("inner")
+        assert not grad_enabled()
+    assert grad_enabled()
+    with pytest.raises(ZeroDivisionError):
+        with no_grad():
+            1 / 0
+    assert grad_enabled()
+    w = Tensor(np.array([2.0]), requires_grad=True)
+    (w * 3.0).sum().backward()
+    np.testing.assert_array_equal(w.grad, [3.0])
 
 
 # -- reductions --------------------------------------------------------------------------------
