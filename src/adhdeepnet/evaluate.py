@@ -427,7 +427,12 @@ def _run_protocol(recordings, combos, mode, k=10, seed=0, config=None,
     ``combos`` (``None`` = no augmentation, combo id ""). Returns
     {combo_id: EvalReport} in ``combos`` order. Injected
     ``trainer_factory``/``build_fn`` must be picklable when ``workers``
-    > 1."""
+    > 1. The tuning settings are checked before any fold runs, also when
+    fixed ``hyperparams`` leave them unused."""
+    optimize.check_search(tune_iterations, tune_seed_points, tune_kappa)
+    if inner_epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {inner_epochs} for the "
+                         f"inner fits")
     config = config or ModelConfig()
     settings = {
         "hyperparams": dict(hyperparams) if hyperparams else None,

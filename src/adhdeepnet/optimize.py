@@ -323,6 +323,18 @@ def _check_kappa(kappa):
         raise ValueError(f"kappa must be non-negative, got {kappa}")
 
 
+def check_search(iterations, n_seed_points, kappa):
+    """Raise ValueError for a search that ``minimize`` cannot run."""
+    if iterations < 1:
+        raise ValueError(f"iterations must be at least 1, got {iterations}")
+    _check_kappa(kappa)
+    if iterations > n_seed_points and n_seed_points < 2:
+        raise ValueError(
+            f"n_seed_points must be at least 2 for the GP proposals after "
+            f"the seed points, got {n_seed_points} with {iterations} "
+            f"iterations")
+
+
 def acquisition(mean, std, best, kappa=KAPPA_DEFAULT):
     """EI - kappa * sigma: the uncertainty is penalized, not rewarded."""
     _check_kappa(kappa)
@@ -461,14 +473,7 @@ def minimize(objective, space, iterations=100, seed=0, n_seed_points=10,
     raise ValueError before the history file is opened or anything is
     evaluated.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be at least 1, got {iterations}")
-    _check_kappa(kappa)
-    if iterations > n_seed_points and n_seed_points < 2:
-        raise ValueError(
-            f"n_seed_points must be at least 2 for the GP proposals after "
-            f"the seed points, got {n_seed_points} with {iterations} "
-            f"iterations")
+    check_search(iterations, n_seed_points, kappa)
     seeds = space.sobol_candidates(min(n_seed_points, iterations), seed=seed)
     history = []
     log_fh = open(history_path, "w", encoding="utf-8") if history_path \

@@ -24,6 +24,13 @@ statistics taken from the input's lag moments. Both reorder float sums, so
 results differ from a direct sum in the last float bits, while a given
 version of the code still reproduces its own results bit for bit, and
 replay at ``--workers 1`` stays byte-identical.
+
+Ops may compute in place, but only into arrays they allocated themselves.
+They never write into an input's ``data``, a parameter, a running
+statistic other than by its documented update, the upstream gradient
+``g``, or any array that another tape node or a backward closure holds:
+an array an op returns or keeps may be shared, and a returned gradient
+may be a read-only broadcast view.
 """
 
 from __future__ import annotations
@@ -358,12 +365,15 @@ def relu(t: Tensor) -> Tensor:
     return Tensor._from_op(out, (t,), backward)
 
 
-def elu(t: Tensor, alpha=1.0) -> Tensor:
-    neg = np.expm1(np.minimum(t.data, 0)) * alpha
-    out = np.where(t.data >= 0, t.data, neg)
+def elu(t: Tensor) -> Tensor:
+    # expm1(x) >= x for every x <= 0, so the larger of the two is x where
+    # x >= 0 and expm1(x) elsewhere; NaN, +-0 and +-inf come out unchanged
+    neg = np.minimum(t.data, 0)
+    np.expm1(neg, out=neg)
+    out = np.maximum(neg, t.data)
 
     def backward(g):
-        return (g * np.where(t.data >= 0, 1.0, neg + alpha).astype(t.dtype),)
+        return (g * (neg + 1),)  # expm1(0) + 1 is exactly 1 where x >= 0
 
     return Tensor._from_op(out, (t,), backward)
 
@@ -602,25 +612,27 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean,
         mean = running_mean.astype(np.float64)
         var = running_var.astype(np.float64)
 
-    inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
+    inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype)[:, None, None]
     mean = mean.astype(x.dtype)
-    xhat = (x.data - mean[:, None, None]) * inv_std[:, None, None]
-    out = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
+    xhat = x.data - mean[:, None, None]
+    xhat *= inv_std
+    out = gamma.data[:, None, None] * xhat
+    out += beta.data[:, None, None]
 
     def backward(g):
-        dgamma = (g * xhat).sum(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
+        prod = g * xhat
+        dgamma = prod.sum(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
         dbeta = g.sum(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
-        gxhat = g * gamma.data[:, None, None]
+        dx = g * gamma.data[:, None, None]  # dL/dxhat, turned into dL/dx
         if training:
-            # d/dx of ((x - mu) / sigma): mean and variance depend on x
-            t1 = gxhat
-            t2 = gxhat.mean(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
-            t3 = (gxhat * xhat).mean(axis=(0, 2, 3),
-                                     dtype=np.float64).astype(x.dtype)
-            dx = inv_std[:, None, None] * (
-                t1 - t2[:, None, None] - xhat * t3[:, None, None])
-        else:
-            dx = gxhat * inv_std[:, None, None]
+            # d/dx of ((x - mu) / sigma): mean and variance depend on x;
+            # dx = inv_std * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat))
+            t2 = dx.mean(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
+            np.multiply(dx, xhat, out=prod)
+            t3 = prod.mean(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
+            dx -= t2[:, None, None]
+            dx -= np.multiply(xhat, t3[:, None, None], out=prod)
+        dx *= inv_std
         return dx, dgamma, dbeta
 
     return Tensor._from_op(out, (x, gamma, beta), backward)
@@ -745,12 +757,59 @@ def spatial_first_stem(x: Tensor, kernel: Tensor, gamma: Tensor,
 # -- pooling ------------------------------------------------------------------------
 
 
+def _pairwise_sum(terms):
+    """Float64 sum of equally shaped arrays, added in numpy's pairwise order.
+
+    That is the order in which ``np.add.reduce`` sums a contiguous run of
+    terms: left to right below eight terms; else eight running sums, each
+    over every eighth term, joined as a balanced tree and followed by the
+    leftover terms; above 128 terms, the two halves are summed apart. The
+    result is a new array, so in-place adds never reach a term.
+    """
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        total = _pairwise_sum(terms[:half])
+        total += _pairwise_sum(terms[half:])
+        return total
+    if n == 1:
+        return terms[0].astype(np.float64)
+    if n < 8:
+        total = np.add(terms[0], terms[1], dtype=np.float64)
+        for term in terms[2:]:
+            total += term
+        return total
+    body = n - n % 8
+    sums = list(terms[:8])
+    if body > 8:
+        sums = [np.add(sums[j], terms[8 + j], dtype=np.float64)
+                for j in range(8)]
+        for i in range(16, body, 8):
+            for j in range(8):
+                sums[j] += terms[i + j]
+    # ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
+    pairs = [np.add(sums[j], sums[j + 1], dtype=np.float64)
+             for j in range(0, 8, 2)]
+    pairs[0] += pairs[1]
+    pairs[2] += pairs[3]
+    total = pairs[0]
+    total += pairs[2]
+    for term in terms[body:]:
+        total += term
+    return total
+
+
 def avg_pool(x: Tensor, window=(1, 2), stride=None, padding="valid") -> Tensor:
     """Average pooling. Default 1x2 window halves the time axis.
 
     With the default valid padding an odd trailing extent is truncated and a
     warning is recorded. Same padding averages over the full window size
     (zero padding included in the divisor).
+
+    Each window is summed in float64 from kh*kw shifted slices of the
+    input: each window row in numpy's pairwise order, then the rows in
+    turn, which is the order ``np.mean(..., dtype=np.float64)`` takes over
+    a strided window view of a C-contiguous input.
     """
     if x.ndim != 4:
         raise ShapeError(f"avg_pool expects [N,C,H,W], got {x.shape}")
@@ -766,21 +825,28 @@ def avg_pool(x: Tensor, window=(1, 2), stride=None, padding="valid") -> Tensor:
             warnings.warn(
                 f"avg_pool truncating input {h}x{w} to a multiple of the "
                 f"{sh}x{sw} stride", RuntimeWarning, stacklevel=2)
-    xp = np.pad(x.data, ((0, 0), (0, 0), ph, pw))
+    xp = x.data
+    if any(ph) or any(pw):
+        xp = np.pad(xp, ((0, 0), (0, 0), ph, pw))
     hp, wp = xp.shape[2], xp.shape[3]
     ho = (hp - kh) // sh + 1
     wo = (wp - kw) // sw + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"pool window {kh}x{kw} larger than input {h}x{w}")
 
-    s0, s1, s2, s3 = xp.strides
-    view = as_strided(xp, (n, c, ho, wo, kh, kw),
-                      (s0, s1, s2 * sh, s3 * sw, s2, s3))
-    out = view.mean(axis=(4, 5), dtype=np.float64).astype(x.dtype)
+    def tap(i, j):  # the input under window offset (i, j) of every output
+        return xp[:, :, i:i + (ho - 1) * sh + 1:sh, j:j + (wo - 1) * sw + 1:sw]
+
+    total = _pairwise_sum([tap(0, j) for j in range(kw)])
+    for i in range(1, kh):
+        total += _pairwise_sum([tap(i, j) for j in range(kw)])
+    total /= kh * kw
+    # a numpy sum starts from +0.0, so a window of -0.0 averages to +0.0
+    out = np.add(total, 0.0, out=np.empty(total.shape, x.dtype))
     scale = 1.0 / (kh * kw)
 
     def backward(g):
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros((n, c, hp, wp), x.dtype)
         gs = g * scale
         for i in range(kh):
             for j in range(kw):
@@ -800,7 +866,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     scale = 1.0 / (h * w)
 
     def backward(g):
-        return (np.broadcast_to(g * scale, x.shape).astype(x.dtype),)
+        return (np.broadcast_to(g * scale, x.shape),)
 
     return Tensor._from_op(out, (x,), backward)
 
@@ -818,7 +884,8 @@ def dropout(x: Tensor, rate, training, rng) -> Tensor:
         return Tensor._from_op(x.data, (x,), backward_id)
 
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep).astype(x.dtype) / keep
+    mask = (rng.random(x.shape) < keep).astype(x.dtype)
+    mask /= keep
     out = x.data * mask
 
     def backward(g):

@@ -71,6 +71,8 @@ class Trainer:
                  build_fn=build_adhdeepnet):
         if epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
+        if patience < 1:
+            raise ValueError(f"patience must be >= 1, got {patience}")
         self.base_config = base_config
         self.epochs = epochs
         self.patience = patience

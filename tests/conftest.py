@@ -4,6 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 from scipy.stats import qmc
 
 from adhdeepnet.optimize import (GaussianProcess, expected_improvement,
@@ -58,6 +59,29 @@ def check_gradients(forward, arrays, h=1e-3, tol=1e-4):
         denom = max(np.abs(num).max(), np.abs(t.grad).max(), 1e-8)
         rel = np.abs(t.grad - num).max() / denom
         assert rel < tol, f"gradient mismatch: rel error {rel:.3e}"
+
+
+def assert_same_bytes(got, want):
+    """Assert equal dtype, shape and bytes.
+
+    ``np.array_equal`` passes -0.0 against 0.0 and fails NaN against NaN;
+    a byte comparison does neither. A failure names the first differing
+    flat index and both values there.
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype, f"dtype {got.dtype} != {want.dtype}"
+    assert got.shape == want.shape, f"shape {got.shape} != {want.shape}"
+    a = np.ascontiguousarray(got).reshape(-1)
+    b = np.ascontiguousarray(want).reshape(-1)
+    width = got.dtype.itemsize
+    differ = np.flatnonzero(
+        (a.view(np.uint8).reshape(a.size, width)
+         != b.view(np.uint8).reshape(b.size, width)).any(axis=1))
+    if differ.size:
+        i = differ[0]
+        raise AssertionError(
+            f"{differ.size} of {a.size} elements differ; first at flat "
+            f"index {i}: got {a[i]!r}, want {b[i]!r}")
 
 
 def probe_weights(shape, seed=0):
@@ -125,6 +149,104 @@ def depthwise_oracle(x, k, padding, g):
                                                        k[:, :, i, j], gg)
     return (out.reshape(n, c * d, ho, wo),
             _crop(dxp, x.shape, kh, kw, padding), dk)
+
+
+# -- the elementwise ops as written before their in-place rewrite --------------
+#
+# Each is a tensor op whose backward closure returns the input gradients;
+# the rewritten ops in ``adhdeepnet.tensor`` must match them bit for bit.
+
+
+def avg_pool_oracle(x, window=(1, 2), stride=None, padding="valid"):
+    """Float64 mean over a strided [N,C,H',W',kh,kw] window view."""
+    kh, kw = window
+    sh, sw = (kh, kw) if stride is None else stride
+    n, c = x.shape[:2]
+    if padding == "same":
+        ph = ((kh - 1) // 2, kh - 1 - (kh - 1) // 2)
+        pw = ((kw - 1) // 2, kw - 1 - (kw - 1) // 2)
+    else:
+        ph = pw = (0, 0)
+    h, w = x.shape[2:]
+    xp = np.pad(x.data, ((0, 0), (0, 0), ph, pw))
+    ho = (xp.shape[2] - kh) // sh + 1
+    wo = (xp.shape[3] - kw) // sw + 1
+    s0, s1, s2, s3 = xp.strides
+    view = as_strided(xp, (n, c, ho, wo, kh, kw),
+                      (s0, s1, s2 * sh, s3 * sw, s2, s3))
+    out = view.mean(axis=(4, 5), dtype=np.float64).astype(x.dtype)
+    scale = 1.0 / (kh * kw)
+
+    def backward(g):
+        dxp = np.zeros_like(xp)
+        gs = g * scale
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, :, i:i + ho * sh:sh, j:j + wo * sw:sw] += gs
+        return (dxp[:, :, ph[0]:ph[0] + h, pw[0]:pw[0] + w],)
+
+    return Tensor._from_op(out, (x,), backward)
+
+
+def elu_oracle(t, alpha=1.0):
+    """ELU by ``np.where`` on the sign of the input."""
+    neg = np.expm1(np.minimum(t.data, 0)) * alpha
+    out = np.where(t.data >= 0, t.data, neg)
+
+    def backward(g):
+        return (g * np.where(t.data >= 0, 1.0, neg + alpha).astype(t.dtype),)
+
+    return Tensor._from_op(out, (t,), backward)
+
+
+def batch_norm_oracle(x, gamma, beta, running_mean, running_var, training,
+                      momentum=0.1, eps=1e-5):
+    """Batch norm from out-of-place expressions, each a new array."""
+    if training:
+        mean = x.data.mean(axis=(0, 2, 3), dtype=np.float64)
+        var = x.data.var(axis=(0, 2, 3), dtype=np.float64)
+        running_mean *= (1.0 - momentum)
+        running_mean += momentum * mean.astype(running_mean.dtype)
+        running_var *= (1.0 - momentum)
+        running_var += momentum * var.astype(running_var.dtype)
+    else:
+        mean = running_mean.astype(np.float64)
+        var = running_var.astype(np.float64)
+    inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
+    mean = mean.astype(x.dtype)
+    xhat = (x.data - mean[:, None, None]) * inv_std[:, None, None]
+    out = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
+
+    def backward(g):
+        dgamma = (g * xhat).sum(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
+        dbeta = g.sum(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
+        gxhat = g * gamma.data[:, None, None]
+        if training:
+            t1 = gxhat
+            t2 = gxhat.mean(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
+            t3 = (gxhat * xhat).mean(axis=(0, 2, 3),
+                                     dtype=np.float64).astype(x.dtype)
+            dx = inv_std[:, None, None] * (
+                t1 - t2[:, None, None] - xhat * t3[:, None, None])
+        else:
+            dx = gxhat * inv_std[:, None, None]
+        return dx, dgamma, dbeta
+
+    return Tensor._from_op(out, (x, gamma, beta), backward)
+
+
+def dropout_oracle(x, rate, training, rng):
+    """Inverted dropout with the scaled mask built out of place."""
+    if not training or rate == 0.0:
+        return Tensor._from_op(x.data, (x,), lambda g: (g,))
+    keep = 1.0 - rate
+    mask = (rng.random(x.shape) < keep).astype(x.dtype) / keep
+    out = x.data * mask
+
+    def backward(g):
+        return (g * mask,)
+
+    return Tensor._from_op(out, (x,), backward)
 
 
 def tsne_setup_oracle(x, perplexity):

@@ -382,6 +382,54 @@ def test_bad_epochs_and_batch_sizes_fail_before_any_forward(
     assert written <= {"run_config.json", "report.partial.json"}
 
 
+@pytest.mark.parametrize("argv,config,message", [
+    (("train", "--epochs", "2", "--patience", "0"), None,
+     "patience must be >= 1, got 0"),
+    (("tune", "--inner-patience", "-1"), None,
+     "patience must be >= 1, got -1"),
+    (("evaluate", *FOLDS, *FAST_FIT, "--patience", "-2"), None,
+     "patience must be >= 1, got -2"),
+    (("evaluate", *FOLDS, "--inner-patience", "0"), None,
+     "patience must be >= 1, got 0"),
+    (("evaluate", *FOLDS, *FAST_FIT, "--tune-iterations", "-3"), None,
+     "iterations must be at least 1, got -3"),
+    (("evaluate", *FOLDS, *FAST_FIT, "--tune-iterations", "4",
+      "--seed-points", "1"), None,
+     "n_seed_points must be at least 2 for the GP proposals after the seed "
+     "points, got 1 with 4 iterations"),
+    (("evaluate", *FOLDS, *FAST_FIT, "--inner-epochs", "0"), None,
+     "epochs must be >= 1, got 0 for the inner fits"),
+    (("evaluate", *FOLDS, *FAST_FIT), {"bo": {"kappa": -0.5}},
+     "kappa must be non-negative, got -0.5"),
+    (("ablate", *FOLDS, "--variants", "full", *FAST_FIT, "--patience", "0"),
+     None, "patience must be >= 1, got 0"),
+    (("ablate", *FOLDS, "--variants", "full", *FAST_FIT, "--seed-points",
+      "0"), None, "n_seed_points must be at least 2"),
+], ids=["train-patience-0", "tune-inner-patience-neg",
+        "evaluate-patience-neg", "evaluate-inner-patience-0",
+        "evaluate-no-tune-iterations-neg", "evaluate-no-tune-seed-points-1",
+        "evaluate-no-tune-inner-epochs-0", "evaluate-no-tune-kappa-neg",
+        "ablate-patience-0", "ablate-no-tune-seed-points-0"])
+def test_bad_patience_and_tuning_settings_fail_before_any_forward(
+        dataset_dir, tmp_path, capsys, monkeypatch, argv, config, message):
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a forward pass ran")  # would exit 2
+
+    monkeypatch.setattr(Model, "forward", no_forward)
+    extra = ()
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        extra = ("--config", str(path))
+    out = tmp_path / "run"
+    code = run_cli(*argv, *extra, "--data", str(dataset_dir), "--out",
+                   str(out), "--seed", "3", *TINY_MODEL)
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    written = {p.name for p in out.rglob("*") if p.is_file()}
+    assert written <= {"run_config.json", "report.partial.json"}
+
+
 # -- flag handling, seeds, exit codes ---------------------------------------
 
 

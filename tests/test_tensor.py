@@ -13,8 +13,9 @@ from adhdeepnet.tensor import (GraphError, ShapeError, Tensor, avg_pool,
                                no_grad, relu, save_tensors, separable_conv2d,
                                sigmoid, softmax)
 
-from conftest import (check_gradients, conv2d_oracle, depthwise_oracle,
-                      probe_weights)
+from conftest import (assert_same_bytes, avg_pool_oracle, batch_norm_oracle,
+                      check_gradients, conv2d_oracle, depthwise_oracle,
+                      dropout_oracle, elu_oracle, probe_weights)
 
 
 # -- matmul -------------------------------------------------------------------
@@ -566,6 +567,177 @@ def test_dropout_rate_one_errors():
     with pytest.raises(ValueError):
         dropout(Tensor(np.ones(3)), 1.0, training=True,
                 rng=np.random.default_rng(0))
+
+
+# -- elementwise ops against their out-of-place oracles, bit for bit ------------------------
+
+
+DTYPES = [np.float32, np.float64]
+
+
+def heavy_tailed(shape, dtype, seed):
+    """Student-t (df 1.5) samples on a DC offset, a few -0.0 among them."""
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_t(1.5, size=shape) * 3.0 + 40.0).astype(dtype)
+    x.reshape(-1)[:16] = -0.0  # whole windows of -0.0
+    return x
+
+
+def spread_exponents(shape, dtype, seed):
+    """Signed values spread over 2^-40..2^40, so that float64 sums of
+    float32 terms round and the order of the adds shows."""
+    rng = np.random.default_rng(seed)
+    mantissa = rng.uniform(1.0, 2.0, size=shape) * rng.choice([-1, 1], shape)
+    return (mantissa * np.exp2(rng.integers(-40, 40, size=shape))).astype(dtype)
+
+
+def op_and_grads(op, arrays, g, *args, **kwargs):
+    """Forward ``op`` on fresh tensors of ``arrays``, then its backward
+    closure on the upstream gradient ``g``."""
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*tensors, *args, **kwargs)
+    return out.data, out._backward_fn(g)
+
+
+def assert_same_op(op, oracle, arrays, g, *args, **kwargs):
+    got, got_grads = op_and_grads(op, arrays, g, *args, **kwargs)
+    want, want_grads = op_and_grads(oracle, arrays, g, *args, **kwargs)
+    assert_same_bytes(got, want)
+    assert len(got_grads) == len(want_grads)
+    for dgot, dwant in zip(got_grads, want_grads):
+        assert_same_bytes(dgot, dwant)
+
+
+POOLS = {"1x2": ((1, 2), None, "valid"),
+         "1x3-same-stride-1": ((1, 3), (1, 1), "same"),
+         "1x4": ((1, 4), None, "valid"),
+         "1x8": ((1, 8), None, "valid"),
+         "2x2": ((2, 2), None, "valid"),
+         "1x9-stride-8": ((1, 9), (1, 8), "valid"),
+         "1x17": ((1, 17), None, "valid"),
+         "1x136": ((1, 136), None, "valid"),
+         "3x3-same-stride-1": ((3, 3), (1, 1), "same")}
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("data", [heavy_tailed, spread_exponents])
+@pytest.mark.parametrize("pool", list(POOLS), ids=list(POOLS))
+def test_avg_pool_matches_strided_mean_bitwise(pool, data, dtype):
+    window, stride, padding = POOLS[pool]
+    x = data((3, 5, 4 if window[0] > 1 else 1, 272), dtype, seed=31)
+    out = avg_pool_oracle(Tensor(x), window, stride, padding)
+    g = heavy_tailed(out.shape, dtype, seed=32)
+    assert_same_op(avg_pool, avg_pool_oracle, [x], g, window, stride,
+                   padding)
+
+
+ELU_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-45, -1e-45,
+             1e-38, -1e-38, 5e-324, -5e-324, -1.0, 3.0, -3e-8, -100.0,
+             -1e4]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_elu_matches_where_oracle_bitwise(dtype):
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        edges = np.array(ELU_EDGES, dtype=np.float64).astype(dtype)
+    x = np.concatenate([edges, heavy_tailed(4096, dtype, seed=33) - 40.0])
+    g = heavy_tailed(x.shape, dtype, seed=34)
+    assert_same_op(elu, elu_oracle, [x], g)
+
+
+def test_expm1_bounds_every_swept_negative_float32():
+    # every 4096th bit pattern from -0.0 to -inf: about 522k values, each
+    # binade of subnormals and normals included
+    bits = np.arange(0x80000000, 0xFF800001, 4096, dtype=np.uint64)
+    x = bits.astype(np.uint32).view(np.float32)
+    assert x.size > 500_000 and x[-1] == -np.inf
+    assert np.all(np.expm1(x) >= x)
+    g = heavy_tailed(x.shape, np.float32, seed=35)
+    assert_same_op(elu, elu_oracle, [x], g)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm_matches_out_of_place_oracle_bitwise(training, dtype):
+    rng = np.random.default_rng(36)
+    x = heavy_tailed((6, 4, 3, 40), dtype, seed=37)
+    gamma = (rng.standard_normal(4) + 1.0).astype(dtype)
+    beta = rng.standard_normal(4).astype(dtype)
+    g = heavy_tailed(x.shape, dtype, seed=38)
+    stats = {}
+    for name, op in (("got", batch_norm), ("want", batch_norm_oracle)):
+        running = (np.array([0.5, -2.0, 40.0, 0.0], dtype),
+                   np.array([1.0, 9.0, 300.0, 0.25], dtype))
+        stats[name] = (*op_and_grads(op, [x, gamma, beta], g, *running,
+                                     training), running)
+    (got, got_grads, got_running), (want, want_grads, want_running) = \
+        stats["got"], stats["want"]
+    assert_same_bytes(got, want)
+    for dgot, dwant in zip(got_grads, want_grads):
+        assert_same_bytes(dgot, dwant)
+    for rgot, rwant in zip(got_running, want_running):
+        assert_same_bytes(rgot, rwant)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("training,rate", [(True, 0.45), (True, 0.0),
+                                           (False, 0.45)])
+def test_dropout_matches_oracle_bitwise_and_draws_alike(training, rate,
+                                                        dtype):
+    # at rate 0.45, 1 / keep rounds differently in float32 and float64
+    x = heavy_tailed((4, 6, 1, 50), dtype, seed=39)
+    g = heavy_tailed(x.shape, dtype, seed=40)
+    rngs = np.random.default_rng(41), np.random.default_rng(41)
+    got, got_grads = op_and_grads(dropout, [x], g, rate, training, rngs[0])
+    want, want_grads = op_and_grads(dropout_oracle, [x], g, rate, training,
+                                    rngs[1])
+    assert_same_bytes(got, want)
+    assert_same_bytes(got_grads[0], want_grads[0])
+    assert rngs[0].random() == rngs[1].random()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_global_avg_pool_backward_is_the_broadcast_gradient(dtype):
+    x = heavy_tailed((3, 4, 2, 5), dtype, seed=42)
+    g = heavy_tailed((3, 4, 1, 1), dtype, seed=43)
+    (dx,) = op_and_grads(global_avg_pool, [x], g)[1]
+    assert_same_bytes(np.ascontiguousarray(dx),
+                      np.broadcast_to(g * (1.0 / 10), x.shape).astype(dtype))
+
+
+def read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@pytest.mark.parametrize("case", ["avg_pool", "avg_pool_same", "elu",
+                                  "batch_norm_train", "batch_norm_eval",
+                                  "dropout", "global_avg_pool"])
+def test_elementwise_ops_never_write_into_inputs_or_gradients(case):
+    # a read-only array raises on any write, so an op that wrote into an
+    # array it does not own would fail here
+    rng = np.random.default_rng(44)
+    x = rng.standard_normal((4, 3, 1, 12)).astype(np.float32)
+    gamma, beta = rng.standard_normal((2, 3)).astype(np.float32)
+    running = np.zeros(3, np.float32), np.ones(3, np.float32)
+    build = {
+        "avg_pool": lambda ts: avg_pool(ts[0]),
+        "avg_pool_same": lambda ts: avg_pool(ts[0], (1, 3), (1, 1), "same"),
+        "elu": lambda ts: elu(ts[0]),
+        "batch_norm_train": lambda ts: batch_norm(*ts, *running, True),
+        "batch_norm_eval": lambda ts: batch_norm(*ts, *running, False),
+        "dropout": lambda ts: dropout(ts[0], 0.4, True,
+                                      np.random.default_rng(45)),
+        "global_avg_pool": lambda ts: global_avg_pool(ts[0]),
+    }[case]
+    arrays = read_only(x.copy(), gamma.copy(), beta.copy())
+    out = build([Tensor(a, requires_grad=True) for a in arrays])
+    (g,) = read_only(rng.standard_normal(out.shape).astype(np.float32))
+    grads = out._backward_fn(g)
+    assert all(gr is None or np.all(np.isfinite(gr)) for gr in grads)
+    for a, original in zip(arrays, (x, gamma, beta)):
+        assert_same_bytes(a, original)
 
 
 # -- backward mechanics ------------------------------------------------------------------------
