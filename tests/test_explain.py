@@ -7,7 +7,7 @@ import pytest
 from scipy.cluster.vq import kmeans2
 from scipy.signal import firwin
 
-from conftest import tsne_setup_oracle
+from conftest import assert_same_bytes, tsne_setup_oracle
 from adhdeepnet.data import FS, CHANNELS, Trial, generate_synthetic, \
     segment_all
 from adhdeepnet.explain import (
@@ -388,6 +388,19 @@ def test_layer_activations_do_not_depend_on_batch_size():
         scale = float(np.abs(matrix).max())
         np.testing.assert_allclose(one[tag], matrix, rtol=0,
                                    atol=1e-5 * scale)
+
+
+def test_layer_activations_stack_the_batches_bitwise():
+    model = tiny_model(seed=2)
+    trials = synthetic_trials(3, 48, seed=5)[:70]  # batch 32 leaves 6 over
+    windows = np.stack([t.window for t in trials])[:, None, :, :]
+    acts = layer_activations(model, trials, batch_size=32)
+    tags = tuple(acts)
+    batches = [captured for _, _, captured in
+               model.infer(windows, 32, capture=tags)]
+    for tag in tags:
+        assert_same_bytes(acts[tag], np.concatenate(
+            [b[tag].reshape(len(b[tag]), -1) for b in batches]))
 
 
 def test_layer_activations_unknown_tag():

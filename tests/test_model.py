@@ -1,6 +1,7 @@
 """Model assembly: shapes, parameter counts, ablation ordering, serialization."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -48,6 +49,26 @@ def test_infer_batches_cover_a_ragged_input_in_order():
                                training=False).data
         np.testing.assert_array_equal(logits, single)
     assert all(captured == {} for _, _, captured in model.infer(x, 4))
+
+
+def test_infer_holds_no_batch_while_the_next_one_runs():
+    model = build_adhdeepnet(small_config(), seed=0)
+    x = np.random.default_rng(2).standard_normal(
+        (4, 1, 19, 512)).astype(np.float32)
+    batches = model.infer(x, 2, capture=("block1",))
+    _, logits, captured = next(batches)
+    held = [weakref.ref(logits), weakref.ref(captured["block1"])]
+    del logits, captured
+    alive = []
+    forward = model.forward
+
+    def watched(*args, **kwargs):
+        alive.append([ref() is not None for ref in held])
+        return forward(*args, **kwargs)
+
+    model.forward = watched
+    next(batches)
+    assert alive == [[False, False]]
 
 
 @pytest.mark.parametrize("preset", ["desk", "full"])
