@@ -173,6 +173,26 @@ def _split_list(text):
     return [part for part in (p.strip() for p in text.split(",")) if part]
 
 
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", list: "a list", dict: "an object"}
+
+
+def _check_kind(where, value, default):
+    """Raise ValueError unless the config value ``value`` has the JSON kind
+    of ``default`` (an integer counts as a number). Object values are
+    checked entry by entry against the keys ``default`` holds."""
+    kind = type(default)
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) \
+            or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"config field {where} must be {_KIND_NAMES[kind]}, "
+                         f"got {json.dumps(value)}")
+    if kind is dict:
+        for key, inner in value.items():
+            if key in default:
+                _check_kind(f"{where}.{key}", inner, default[key])
+
+
 def _merge_config(args):
     """Resolve defaults, then the --config file, then the flags."""
     command = args.command
@@ -191,16 +211,17 @@ def _merge_config(args):
         for key, value in payload.items():
             if key == "command":
                 continue  # the subcommand actually invoked wins
-            if key in ("model", "bo", "options") and isinstance(value, dict):
-                for inner_key, inner in value.items():
-                    if inner_key == "overrides" and isinstance(inner, dict):
-                        base["model"]["overrides"].update(inner)
-                    else:
-                        base[key][inner_key] = inner
-            elif key in base:
-                base[key] = value
-            else:
+            if key not in base:
                 raise ValueError(f"unknown config field {key!r}")
+            _check_kind(key, value, 0 if key == "seed" else base[key])
+            if not isinstance(value, dict):
+                base[key] = value
+                continue
+            for inner_key, inner in value.items():
+                if key == "model" and inner_key == "overrides":
+                    base["model"]["overrides"].update(inner)
+                else:
+                    base[key][inner_key] = inner
 
     for name in ("data", "out", "workers", "seed"):
         value = getattr(args, name, None)
@@ -237,8 +258,6 @@ def _merge_config(args):
                     f"ADHDNET_SEED must be an integer, got {env!r}") from None
         else:
             base["seed"] = 0
-    base["seed"] = int(base["seed"])
-    base["workers"] = int(base["workers"])
     return RunConfig(**base)
 
 
@@ -338,17 +357,20 @@ def cmd_synth(config):
 
 
 def cmd_train(config):
+    opts = config.options
+    val_fraction = float(opts["val_fraction"])
+    if not 0 <= val_fraction < 1:  # NaN fails too
+        raise ValueError(f"--val-fraction must be in [0, 1), got "
+                         f"{val_fraction}")
     out = _prepare_out(config)
     trials = segment_all(_resolve_data(config))
     model_config = _build_model_config(config)
-    opts = config.options
     hyperparams = _full_hyperparams(opts["hyperparams"])
 
     train_trials, val = trials, None
-    if float(opts["val_fraction"]) > 0:
+    if val_fraction > 0:
         rng = np.random.default_rng([config.seed, 311])
-        train_trials, val = _validation_slice(trials, rng,
-                                              float(opts["val_fraction"]))
+        train_trials, val = _validation_slice(trials, rng, val_fraction)
     trainer = Trainer(model_config, epochs=int(opts["epochs"]),
                       patience=int(opts["patience"]))
     _progress(f"training on {len(train_trials)} trials "
@@ -376,12 +398,11 @@ def cmd_tune(config):
                       patience=int(bo["inner_patience"]))
     _progress(f"tuning for {bo['iterations']} iterations on "
               f"{len(trials)} trials")
-    best, result = tune(trials, trainer, iterations=int(bo["iterations"]),
-                        seed=config.seed,
-                        n_seed_points=int(bo["seed_points"]),
-                        kappa=float(bo["kappa"]),
-                        history_path=str(out / "bo_history.jsonl"))
-    payload = {"best_params": best.as_dict(), "best_g": result.best_g,
+    result = tune(trials, trainer, iterations=int(bo["iterations"]),
+                  seed=config.seed, n_seed_points=int(bo["seed_points"]),
+                  kappa=float(bo["kappa"]),
+                  history_path=str(out / "bo_history.jsonl"))
+    payload = {"best_params": result.best_params, "best_g": result.best_g,
                "evaluations": len(result.history)}
     atomic_write_text(out / "best_params.json", canonical_json(payload))
     _progress(f"best g={result.best_g:.6g}; wrote best_params.json and "
@@ -476,7 +497,6 @@ def cmd_explain(config):
                               layer_tags=tuple(opts["tags"]),
                               perplexity=float(opts["perplexity"]),
                               iterations=int(opts["iterations"]),
-                              seed=config.seed,
                               grid_size=int(opts["grid_size"]))
     for name in sorted(written):
         _progress(f"wrote {written[name]}")

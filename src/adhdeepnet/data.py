@@ -23,9 +23,13 @@ WINDOW = 512  # 4 seconds at 128 Hz
 CHANNELS = ("Fz", "Cz", "Pz", "C3", "T3", "C4", "T4", "Fp1", "Fp2",
             "F3", "F4", "F7", "F8", "P3", "P4", "T5", "T6", "O1", "O2")
 FRONTAL = ("Fp1", "Fp2", "F3", "F4", "F7", "F8", "Fz")
-LABELS = ("ADHD", "HC")
+LABELS = ("ADHD", "HC")  # the order is the class index
 LABEL_VECTORS = {"ADHD": (1.0, 0.0), "HC": (0.0, 1.0)}
-POSITIVE = "ADHD"
+
+
+def class_index(label):
+    """Class index of a label: its position in ``LABELS``."""
+    return LABELS.index(label)
 
 
 class IngestionError(ValueError):
@@ -358,9 +362,14 @@ def load_dataset(manifest_path):
             raise IngestionError(
                 f"manifest channel order {declared} does not match the "
                 f"required order {list(CHANNELS)}")
-        entries = manifest["subjects"]
+        entries = manifest.get("subjects")
     else:
         entries = manifest
+    if not isinstance(entries, list) \
+            or not all(isinstance(entry, dict) for entry in entries):
+        raise IngestionError(
+            f"{manifest_path}: the manifest must be a list of subject "
+            f"objects, or an object whose \"subjects\" holds that list")
 
     recordings, problems = [], []
     for entry in entries:

@@ -27,12 +27,12 @@ from scipy.stats import rankdata
 
 from . import optimize
 from .augment import augment_training_set, enumerate_combos
-from .data import (LABELS, aggregate_subject, atomic_write_text, plan_folds,
-                   segment_all)
+from .data import (LABELS, aggregate_subject, atomic_write_text, class_index,
+                   plan_folds, segment_all)
 from .model import (ModelConfig, build_adhdeepnet, build_eegnet_baseline)
 from .train import Trainer
 
-POSITIVE_INDEX = 0  # class order (ADHD, HC); ADHD counts as positive
+POSITIVE_INDEX = class_index("ADHD")  # ADHD counts as positive
 
 DEFAULT_HYPERPARAMS = {
     "learning_rate": 1e-3,
@@ -237,7 +237,7 @@ def _validation_slice(train_trials, rng, fraction=0.10):
 
 def _score_model(trainer, model, test_trials):
     probs = trainer.predict_proba(model, test_trials)
-    actual = np.asarray([0 if t.label == "ADHD" else 1 for t in test_trials])
+    actual = np.asarray([class_index(t.label) for t in test_trials])
     predicted = np.argmax(probs, axis=1)
     sample_counts = ConfusionCounts.from_indices(predicted, actual)
     auc = auc_from_scores(probs[:, POSITIVE_INDEX], actual)
@@ -249,8 +249,8 @@ def _score_model(trainer, model, test_trials):
     subj_true = []
     for subject in sorted(by_subject):
         preds, label = by_subject[subject]
-        subj_pred.append(0 if aggregate_subject(preds) == "ADHD" else 1)
-        subj_true.append(0 if label == "ADHD" else 1)
+        subj_pred.append(class_index(aggregate_subject(preds)))
+        subj_true.append(class_index(label))
     subject_counts = ConfusionCounts.from_indices(subj_pred, subj_true)
     return sample_counts, subject_counts, auc
 
@@ -264,37 +264,27 @@ def _counts_dict(counts, kind):
 
 
 def run_fold(task):
-    """Evaluate one outer fold; pure function of the task dict.
-
-    Returns one record per evaluation (one for the plain run, one per
-    augmentation combo otherwise)."""
+    """Evaluate one outer fold; pure function of the task dict that
+    ``_fold_tasks`` builds. Returns one record per evaluation (one for the
+    plain run, one per augmentation combo otherwise)."""
     fold = task["fold"]
     train_trials = task["train_trials"]
     test_trials = task["test_trials"]
-    config = task["config"]
     seed = task["seed"]
     print(f"[fold {fold}] start train_trials={len(train_trials)} "
           f"test_trials={len(test_trials)}", file=sys.stderr)
     _assert_subject_disjoint(train_trials, test_trials, f"fold {fold}")
     fold_seed = _fold_seed(seed, fold)
-    factory = task.get("trainer_factory") or Trainer
-    build_fn = task.get("build_fn") or build_adhdeepnet
-
-    # built before tuning, so a bad final epoch count fails before any fit
-    final = factory(config, epochs=task["final_epochs"],
-                    patience=task["final_patience"], build_fn=build_fn)
-    hyperparams = task.get("hyperparams")
+    final = task["final"]
+    hyperparams = task["hyperparams"]
     tuning_evaluations = None
     if hyperparams is None:
-        inner = factory(config, epochs=task["inner_epochs"],
-                        patience=task["inner_patience"], build_fn=build_fn)
-        best, bo = optimize.tune(
-            train_trials, inner, iterations=task["tune_iterations"],
+        tuned = optimize.tune(
+            train_trials, task["inner"], iterations=task["tune_iterations"],
             seed=fold_seed % (2 ** 31),
-            n_seed_points=task["tune_seed_points"],
-            kappa=task.get("tune_kappa", optimize.KAPPA_DEFAULT))
-        hyperparams = best.as_dict()
-        tuning_evaluations = len(bo.history)
+            n_seed_points=task["tune_seed_points"], kappa=task["tune_kappa"])
+        hyperparams = tuned.best_params
+        tuning_evaluations = len(tuned.history)
 
     rng = np.random.default_rng([seed, fold, 17])
     core, val = _validation_slice(train_trials, rng)
@@ -302,9 +292,8 @@ def run_fold(task):
         _assert_subject_disjoint(core, val, f"fold {fold} validation slice")
 
     records = []
-    combos = task.get("combos") or [None]
     train_subjects = {t.subject_id for t in train_trials}
-    for combo in combos:
+    for combo in task["combos"]:
         if combo is None:
             fit_trials = core
             combo_id = ""
@@ -334,7 +323,7 @@ def run_fold(task):
         record.update(_counts_dict(subject_counts, "subject"))
         if tuning_evaluations is not None:
             record["tuning_evaluations"] = tuning_evaluations
-        if task.get("out_dir") and hasattr(model, "save_weights"):
+        if task["out_dir"]:
             suffix = f"_{combo_id}" if combo_id else ""
             path = os.path.join(task["out_dir"],
                                 f"fold_{fold:02d}{suffix}.weights")
@@ -348,7 +337,9 @@ def run_fold(task):
 # -- protocol drivers -------------------------------------------------------------------
 
 
-def _fold_tasks(recordings, k, seed, config, settings):
+def _fold_tasks(recordings, k, seed, settings):
+    """Per fold: its index, trials and the seed, plus the shared settings
+    (search, ``hyperparams``, ``inner``/``final`` trainers, combos, out)."""
     plan = plan_folds(recordings, k=k,
                       seed=int(np.random.default_rng([seed, 11])
                                .integers(2 ** 31)))
@@ -363,7 +354,6 @@ def _fold_tasks(recordings, k, seed, config, settings):
             "fold": fold,
             "train_trials": [t for s in train_ids for t in by_subject[s]],
             "test_trials": [t for s in test_ids for t in by_subject[s]],
-            "config": config,
             "seed": seed,
         }
         task.update(settings)
@@ -418,33 +408,37 @@ def _run_folds(tasks, workers, out_dir=None):
 def _run_protocol(recordings, combos, mode, k=10, seed=0, config=None,
                   hyperparams=None, tune_iterations=25, tune_seed_points=10,
                   tune_kappa=optimize.KAPPA_DEFAULT, workers=1,
-                  out_dir=None, trainer_factory=None, build_fn=None,
-                  inner_epochs=30, inner_patience=6,
-                  final_epochs=100, final_patience=10, variant="",
-                  hash_extra=None):
+                  out_dir=None, trainer_factory=Trainer,
+                  build_fn=build_adhdeepnet, inner_epochs=30,
+                  inner_patience=6, final_epochs=100, final_patience=10,
+                  variant="", hash_extra=None):
     """Every protocol's fold loop: k outer folds, each tuned once (or run
     with the fixed ``hyperparams``), then retrained once per entry of
     ``combos`` (``None`` = no augmentation, combo id ""). Returns
-    {combo_id: EvalReport} in ``combos`` order. Injected
-    ``trainer_factory``/``build_fn`` must be picklable when ``workers``
-    > 1. The tuning settings are checked before any fold runs, also when
-    fixed ``hyperparams`` leave them unused."""
+    {combo_id: EvalReport} in ``combos`` order. The inner (tuning) and
+    final trainers are built once, so they and the tuning settings are
+    checked before any fold runs, also when fixed ``hyperparams`` leave
+    them unused; they must be picklable when ``workers`` > 1."""
     optimize.check_search(tune_iterations, tune_seed_points, tune_kappa)
     if inner_epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {inner_epochs} for the "
                          f"inner fits")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     config = config or ModelConfig()
+    final = trainer_factory(config, epochs=final_epochs,
+                            patience=final_patience, build_fn=build_fn)
+    inner = trainer_factory(config, epochs=inner_epochs,
+                            patience=inner_patience, build_fn=build_fn)
     settings = {
         "hyperparams": dict(hyperparams) if hyperparams else None,
         "tune_iterations": tune_iterations,
         "tune_seed_points": tune_seed_points, "tune_kappa": tune_kappa,
-        "inner_epochs": inner_epochs, "inner_patience": inner_patience,
-        "final_epochs": final_epochs, "final_patience": final_patience,
-        "trainer_factory": trainer_factory, "build_fn": build_fn,
-        "out_dir": out_dir, "combos": combos,
+        "inner": inner, "final": final, "out_dir": out_dir,
+        "combos": combos,
     }
     chash = config_hash(config, hash_extra or {"mode": mode, "k": k})
-    tasks = _fold_tasks(recordings, k, seed, config, settings)
+    tasks = _fold_tasks(recordings, k, seed, settings)
     reports = {}
     for fold_records in _run_folds(tasks, workers, out_dir=out_dir):
         for record in fold_records:

@@ -307,18 +307,17 @@ def _tsne_setup(activations, perplexity):
     return distinct, inverse, p, _pca_init(g)
 
 
-def tsne(activations, perplexity=30.0, iterations=1000, seed=0,
-         labels=None, layer_tag="", exaggeration=12.0,
-         exaggeration_iters=250):
+def tsne(activations, perplexity=30.0, iterations=1000, labels=None,
+         layer_tag="", exaggeration=12.0, exaggeration_iters=250):
     """Exact t-SNE to two dimensions.
 
     The set-up (``_tsne_setup``) needs one Gram matrix over the distinct
-    rows; activation rows must be finite. Deterministic: initialization is
-    the top-2 PCA projection scaled to std 1e-4 (no jitter), each
-    component signed so that its largest-magnitude entry is positive, so
-    the seed only matters as provenance. The returned embedding carries
-    the KL trace; the final KL is always checked against the plain
-    (non-exaggerated) similarity matrix.
+    rows; activation rows must be finite. Deterministic, so it takes no
+    seed: initialization is the top-2 PCA projection scaled to std 1e-4
+    (no jitter), each component signed so that its largest-magnitude entry
+    is positive. The returned embedding carries the KL trace; the final KL
+    is always checked against the plain (non-exaggerated) similarity
+    matrix.
     """
     _check_tsne_arguments(perplexity, iterations)
     _, inverse, p, y = _tsne_setup(activations, perplexity)
@@ -500,7 +499,7 @@ def write_embedding_svg(embedding, path, size=480, margin=30):
 
 
 def export_analysis(model, trials, out_dir, layer_tags=DEFAULT_LAYER_TAGS,
-                    perplexity=30.0, iterations=1000, seed=0,
+                    perplexity=30.0, iterations=1000,
                     grid_size=DEFAULT_GRID_SIZE):
     """Run every analysis on a frozen model and write the output files.
 
@@ -536,7 +535,7 @@ def export_analysis(model, trials, out_dir, layer_tags=DEFAULT_LAYER_TAGS,
     labels = [t.label for t in trials]
     for tag in layer_tags:
         embedding = tsne(activations[tag], perplexity=effective,
-                         iterations=iterations, seed=seed, labels=labels,
+                         iterations=iterations, labels=labels,
                          layer_tag=tag,
                          exaggeration_iters=exaggeration_iters)
         path = os.path.join(out_dir, f"tsne_{tag}.csv")

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import qmc
 
-from .data import LABELS
+from .data import LABELS, class_index
 
 KAPPA_DEFAULT = 0.1
 N_CANDIDATES = 2048  # continuous Sobol points per proposal
@@ -148,30 +148,6 @@ def default_space():
         Categorical("batch_size", (16, 32, 64, 128)),
         Categorical("optimizer_kind", ("Adam", "SGDMomentum", "RMSProp")),
     ])
-
-
-@dataclass(frozen=True)
-class HyperParams:
-    learning_rate: float
-    dropout_rate: float
-    norm_rate: float
-    batch_size: int
-    optimizer_kind: str
-
-    def as_dict(self):
-        return {"learning_rate": self.learning_rate,
-                "dropout_rate": self.dropout_rate,
-                "norm_rate": self.norm_rate,
-                "batch_size": self.batch_size,
-                "optimizer_kind": self.optimizer_kind}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(learning_rate=float(d["learning_rate"]),
-                   dropout_rate=float(d["dropout_rate"]),
-                   norm_rate=float(d["norm_rate"]),
-                   batch_size=int(d["batch_size"]),
-                   optimizer_kind=str(d["optimizer_kind"]))
 
 
 # -- Gaussian process -----------------------------------------------------------------
@@ -429,7 +405,6 @@ def stratified_bipartition(trials, rng):
 
 def make_inner_objective(trainer, trials, base_seed):
     """Objective g: negative pooled accuracy of the inner two-fold run."""
-    from .data import LABEL_VECTORS
 
     def objective(params, iteration):
         rng = np.random.default_rng([base_seed, 7919, iteration])
@@ -441,8 +416,7 @@ def make_inner_objective(trainer, trials, base_seed):
                                    seed=base_seed * 1000 + iteration)
             probs = trainer.predict_proba(model, eval_half)
             pred = np.argmax(probs, axis=1)
-            truth = np.asarray([np.argmax(LABEL_VECTORS[t.label])
-                                for t in eval_half])
+            truth = np.asarray([class_index(t.label) for t in eval_half])
             correct += int((pred == truth).sum())
             total += len(eval_half)
         if total == 0:
@@ -463,15 +437,13 @@ class BoResult:
 
 
 def minimize(objective, space, iterations=100, seed=0, n_seed_points=10,
-             kappa=KAPPA_DEFAULT, history_path=None, on_failure="raise"):
+             kappa=KAPPA_DEFAULT, history_path=None):
     """Sequential model-based minimization of ``objective(params)``.
 
     The first ``n_seed_points`` iterations evaluate scrambled-Sobol points;
     the rest maximize the acquisition under a GP fitted to all history.
-    ``on_failure="worst"`` records crashed evaluations as g=0 (the worst
-    possible negative accuracy) instead of propagating. Bad arguments
-    raise ValueError before the history file is opened or anything is
-    evaluated.
+    An exception from the objective propagates. Bad arguments raise
+    ValueError before the history file is opened or anything is evaluated.
     """
     check_search(iterations, n_seed_points, kappa)
     seeds = space.sobol_candidates(min(n_seed_points, iterations), seed=seed)
@@ -487,12 +459,7 @@ def minimize(objective, space, iterations=100, seed=0, n_seed_points=10,
                     [(h[0], h[1]) for h in history], space, kappa=kappa,
                     seed=seed * 100003 + t)
             started = time.perf_counter()
-            try:
-                g = float(objective(params))
-            except Exception:
-                if on_failure != "worst":
-                    raise
-                g = 0.0
+            g = float(objective(params))
             encoded = space.encode(params)
             history.append((encoded, g, params))
             print(f"[bo] iteration={t} g={g:.6g} "
@@ -520,8 +487,9 @@ def tune(trials, trainer, space=None, iterations=100, seed=0,
 
     Each iteration draws a fresh subject-disjoint stratified bipartition of
     the training trials and scores the candidate by negative pooled
-    accuracy across both directions. Failed evaluations score 0 (worst).
-    Returns (HyperParams, BoResult).
+    accuracy across both directions. An evaluation that raises scores 0,
+    the worst possible g. Returns the ``BoResult``, whose ``best_params``
+    is the plain parameter dict that scored best.
     """
     space = space or default_space()
     subjects = {t.subject_id for t in trials}
@@ -533,11 +501,14 @@ def tune(trials, trainer, space=None, iterations=100, seed=0,
 
     def objective(params):
         counter["t"] += 1
-        return inner(params, counter["t"])
+        try:
+            return inner(params, counter["t"])
+        except Exception:
+            return 0.0
 
     result = minimize(objective, space, iterations=iterations, seed=seed,
                       n_seed_points=n_seed_points, kappa=kappa,
-                      history_path=history_path, on_failure="worst")
+                      history_path=history_path)
     if all(h[1] == 0.0 for h in result.history):
         raise TuningError("all tuning evaluations failed (g=0 throughout)")
-    return HyperParams.from_dict(result.best_params), result
+    return result

@@ -360,3 +360,12 @@ def propose_next_oracle(history, space, kappa, seed, n_candidates=2048,
                     best_score, best_vec, cur_cont = sc, trial, trial_cont
                 step *= 0.9
     return space.decode(best_vec)
+
+
+class StubModel:
+    """The model a stub trainer's ``fit`` returns: ``run_fold`` saves it
+    like a real one, as a placeholder weight file."""
+
+    def save_weights(self, path):
+        with open(path, "wb") as fh:
+            fh.write(b"stub")

@@ -27,7 +27,7 @@ import pytest
 from scipy.cluster.vq import kmeans2
 from scipy.signal import firwin
 
-from conftest import check_gradients, probe_weights
+from conftest import StubModel, check_gradients, probe_weights
 from adhdeepnet import cli, nn
 from adhdeepnet.augment import augment_trial, augment_training_set, \
     enumerate_combos
@@ -275,7 +275,7 @@ class ProvenanceTrainer:
              len(train_trials)))
         result = FitResult()
         result.epochs_run = 1
-        return "stub", result
+        return StubModel(), result
 
     def predict_proba(self, model, trials):
         probs = np.zeros((len(trials), 2))
@@ -310,12 +310,12 @@ def test_criterion_5_nested_protocol_never_leaks_subjects():
                 "train_trials": train_trials,
                 "test_trials": [t for s in sorted(test_ids)
                                 for t in by_subject[s]],
-                "config": ModelConfig(), "seed": 5,
+                "seed": 5,
                 "hyperparams": None,  # force the inner tuning loop
                 "tune_iterations": 2, "tune_seed_points": 2,
-                "inner_epochs": 1, "inner_patience": 1,
-                "final_epochs": 1, "final_patience": 1,
-                "trainer_factory": ProvenanceTrainer, "build_fn": None,
+                "tune_kappa": 0.1,
+                "inner": ProvenanceTrainer(ModelConfig()),
+                "final": ProvenanceTrainer(ModelConfig()),
                 "out_dir": None, "combos": [combo],
             })
             log = ProvenanceTrainer.log
@@ -484,7 +484,7 @@ def test_criterion_9_explainability_oracles():
         b = rng.normal(0.0, 1.0, (n_per, 10)) + 8.0
         labels = np.array([0] * n_per + [1] * n_per)
         embedding = tsne(np.vstack([a, b]), perplexity=30.0,
-                         iterations=600, seed=0)
+                         iterations=600)
         assert embedding.final_kl < embedding.initial_kl
         _, assigned = kmeans2(embedding.points, 2, minit="++", seed=3)
         agreement = max(np.mean(assigned == labels),

@@ -266,7 +266,7 @@ def test_explain_weights_of_another_preset_is_user_error(dataset_dir,
 def test_tune_writes_history_and_best_params(tmp_path, monkeypatch):
     # the real inner loop is exercised elsewhere; here a stub keeps the
     # command wiring test fast
-    from adhdeepnet.optimize import HyperParams, BoResult
+    from adhdeepnet.optimize import BoResult
 
     captured = {}
 
@@ -274,10 +274,10 @@ def test_tune_writes_history_and_best_params(tmp_path, monkeypatch):
                   history_path):
         captured["iterations"] = iterations
         captured["history_path"] = history_path
-        hp = HyperParams(learning_rate=1e-3, dropout_rate=0.3, batch_size=32,
-                         norm_rate=1.0, optimizer_kind="Adam")
-        return hp, BoResult(best_params=hp.as_dict(), best_g=-0.9,
-                            history=[(None, -0.9, hp.as_dict())])
+        hp = {"learning_rate": 1e-3, "dropout_rate": 0.3, "batch_size": 32,
+              "norm_rate": 1.0, "optimizer_kind": "Adam"}
+        return BoResult(best_params=hp, best_g=-0.9,
+                        history=[(None, -0.9, hp)])
 
     monkeypatch.setattr(cli, "tune", fake_tune)
     out = tmp_path / "tuned"
@@ -328,11 +328,10 @@ def test_protocol_tunes_at_configured_kappa(dataset_dir, tmp_path,
 
     def fake_tune(trials, trainer, **kwargs):
         seen.append(kwargs["kappa"])
-        hp = optimize.HyperParams(learning_rate=1e-3, dropout_rate=0.3,
-                                  batch_size=8, norm_rate=1.0,
-                                  optimizer_kind="Adam")
-        return hp, optimize.BoResult(best_params=hp.as_dict(), best_g=-0.5,
-                                     history=[(None, -0.5, hp.as_dict())])
+        hp = {"learning_rate": 1e-3, "dropout_rate": 0.3, "batch_size": 8,
+              "norm_rate": 1.0, "optimizer_kind": "Adam"}
+        return optimize.BoResult(best_params=hp, best_g=-0.5,
+                                 history=[(None, -0.5, hp)])
 
     monkeypatch.setattr(optimize, "tune", fake_tune)
     config = tmp_path / "config.json"
@@ -428,6 +427,82 @@ def test_bad_patience_and_tuning_settings_fail_before_any_forward(
     assert f"error: {message}" in capsys.readouterr().err
     written = {p.name for p in out.rglob("*") if p.is_file()}
     assert written <= {"run_config.json", "report.partial.json"}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("train", "--epochs", "2", "--val-fraction", "2.5"),
+     "--val-fraction must be in [0, 1), got 2.5"),
+    (("train", "--epochs", "2", "--val-fraction", "1"),
+     "--val-fraction must be in [0, 1), got 1.0"),
+    (("train", "--epochs", "2", "--val-fraction", "-0.1"),
+     "--val-fraction must be in [0, 1), got -0.1"),
+    (("evaluate", *FOLDS, *FAST_FIT, "--workers", "-3"),
+     "workers must be >= 1, got -3"),
+    (("evaluate", *FOLDS, "--workers", "0"), "workers must be >= 1, got 0"),
+    (("ablate", *FOLDS, "--variants", "full", *FAST_FIT, "--workers", "0"),
+     "workers must be >= 1, got 0"),
+], ids=["train-val-fraction-2.5", "train-val-fraction-1",
+        "train-val-fraction-neg", "evaluate-workers-neg", "evaluate-workers-0",
+        "ablate-workers-0"])
+def test_out_of_range_fraction_and_workers_fail_before_any_forward(
+        dataset_dir, tmp_path, capsys, monkeypatch, argv, message):
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a forward pass ran")  # would exit 2
+
+    monkeypatch.setattr(Model, "forward", no_forward)
+    out = tmp_path / "run"
+    code = run_cli(*argv, "--data", str(dataset_dir), "--out", str(out),
+                   "--seed", "3", *TINY_MODEL)
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    written = {p.name for p in out.rglob("*") if p.is_file()}
+    assert written <= {"run_config.json"}
+
+
+@pytest.mark.parametrize("command,payload,message", [
+    ("evaluate", {"model": 5}, "config field model must be an object, got 5"),
+    ("evaluate", {"bo": []}, "config field bo must be an object, got []"),
+    ("train", {"options": "x"},
+     'config field options must be an object, got "x"'),
+    ("evaluate", {"seed": [1]},
+     "config field seed must be an integer, got [1]"),
+    ("evaluate", {"bo": {"iterations": None}},
+     "config field bo.iterations must be an integer, got null"),
+    ("tune", {"bo": {"iterations": None}},
+     "config field bo.iterations must be an integer, got null"),
+    ("train", {"options": {"hyperparams": {"batch_size": "8"}}},
+     'config field options.hyperparams.batch_size must be an integer, '
+     'got "8"'),
+], ids=["model-number", "bo-list", "options-string", "seed-list",
+        "evaluate-iterations-null", "tune-iterations-null",
+        "batch-size-string"])
+def test_malformed_config_file_is_user_error(dataset_dir, tmp_path, capsys,
+                                             command, payload, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    code = run_cli(command, "--config", str(config), "--data",
+                   str(dataset_dir), "--out", str(tmp_path / "run"),
+                   *TINY_MODEL)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("manifest", [
+    {"recordings": []},
+    {"subjects": "s1.f32"},
+    ["s1.f32", "s2.f32"],
+], ids=["object-without-subjects", "subjects-string", "list-of-strings"])
+def test_malformed_manifest_is_user_error(tmp_path, capsys, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code = run_cli(*evaluate_args(tmp_path, tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: the manifest must be a list of subject " \
+        "objects" in err
+    assert "Traceback" not in err
 
 
 # -- flag handling, seeds, exit codes ---------------------------------------

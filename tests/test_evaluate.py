@@ -26,6 +26,7 @@ from adhdeepnet.evaluate import (
 )
 from adhdeepnet.model import ModelConfig
 from adhdeepnet.train import FitResult, Trainer
+from conftest import StubModel
 
 # -- metric oracles ------------------------------------------------------------------
 
@@ -178,7 +179,7 @@ class OracleTrainer:
     def fit(self, train_trials, hyperparams, seed, val_trials=None):
         result = FitResult()
         result.epochs_run = 1
-        return "oracle", result
+        return StubModel(), result
 
     def predict_proba(self, model, trials):
         probs = np.zeros((len(trials), 2))
@@ -334,14 +335,12 @@ def test_leakage_guard_rejects_overlapping_fold():
         "fold": 0,
         "train_trials": trials,  # includes the test subject
         "test_trials": [t for t in trials if t.subject_id == poisoned],
-        "config": ModelConfig(),
         "seed": 0,
         "hyperparams": dict(HP),
-        "inner_epochs": 1, "inner_patience": 1,
-        "final_epochs": 1, "final_patience": 1,
-        "tune_iterations": 1, "tune_seed_points": 1,
-        "trainer_factory": OracleTrainer, "build_fn": None,
-        "out_dir": None, "combos": None,
+        "tune_iterations": 1, "tune_seed_points": 1, "tune_kappa": 0.1,
+        "inner": OracleTrainer(ModelConfig()),
+        "final": OracleTrainer(ModelConfig()),
+        "out_dir": None, "combos": [None],
     }
     with pytest.raises(LeakageError, match="both sides"):
         run_fold(task)
@@ -449,14 +448,12 @@ def test_no_subject_crosses_any_training_boundary():
                              for t in by_subject[s]],
             "test_trials": [t for s in sorted(test_ids)
                             for t in by_subject[s]],
-            "config": ModelConfig(),
             "seed": 0,
             "hyperparams": None,  # force the inner tuning path
-            "tune_iterations": 2, "tune_seed_points": 2,
-            "inner_epochs": 1, "inner_patience": 1,
-            "final_epochs": 1, "final_patience": 1,
-            "trainer_factory": RecordingTrainer, "build_fn": None,
-            "out_dir": None, "combos": None,
+            "tune_iterations": 2, "tune_seed_points": 2, "tune_kappa": 0.1,
+            "inner": RecordingTrainer(ModelConfig()),
+            "final": RecordingTrainer(ModelConfig()),
+            "out_dir": None, "combos": [None],
         })
         # tuning fits (2 iterations x 2 halves) plus the final fit
         assert len(RecordingTrainer.log) == 5

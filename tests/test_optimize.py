@@ -12,7 +12,6 @@ from adhdeepnet.optimize import (
     Categorical,
     Continuous,
     GaussianProcess,
-    HyperParams,
     ObjectiveError,
     SearchSpace,
     TuningError,
@@ -107,12 +106,6 @@ def test_sobol_candidates_cover_space_deterministically():
         assert params["optimizer_kind"] in ("Adam", "SGDMomentum", "RMSProp")
     kinds = {p["optimizer_kind"] for p in first}
     assert len(kinds) >= 2  # quasi-random sweep touches several categories
-
-
-def test_hyperparams_round_trip():
-    hp = HyperParams(learning_rate=1e-3, dropout_rate=0.3, norm_rate=0.5,
-                     batch_size=64, optimizer_kind="Adam")
-    assert HyperParams.from_dict(hp.as_dict()) == hp
 
 
 # -- Gaussian process ----------------------------------------------------------------
@@ -540,22 +533,6 @@ def test_minimize_writes_jsonl_history(tmp_path):
         assert rec["wall_time_s"] >= 0.0
 
 
-def test_minimize_records_failures_as_worst_when_asked():
-    calls = {"n": 0}
-
-    def flaky(params):
-        calls["n"] += 1
-        if calls["n"] % 2 == 0:
-            raise RuntimeError("boom")
-        return (params["u"] - 0.5) ** 2 - 1.0
-
-    result = minimize(flaky, quadratic_space(), iterations=8, seed=0,
-                      on_failure="worst")
-    gs = [h[1] for h in result.history]
-    assert gs.count(0.0) == 4
-    assert result.best_g < 0.0
-
-
 def test_minimize_propagates_failures_by_default():
     def always_raises(params):
         raise RuntimeError("boom")
@@ -576,40 +553,73 @@ def test_tune_finds_high_scoring_hyperparameters(tmp_path):
     trials = cohort(3, seconds=8, seed=7)
     trainer = FakeTrainer(lr_peaked_score)
     path = tmp_path / "tune.jsonl"
-    best, result = tune(trials, trainer, iterations=18, seed=0,
-                        history_path=str(path))
-    assert isinstance(best, HyperParams)
+    result = tune(trials, trainer, iterations=18, seed=0,
+                  history_path=str(path))
+    best = result.best_params
+    assert sorted(best) == sorted(default_space().names)
     assert result.best_g <= -0.8
-    assert abs(np.log10(best.learning_rate) + 3) < 0.6
+    assert abs(np.log10(best["learning_rate"]) + 3) < 0.6
     assert len(path.read_text().splitlines()) == 18
-    assert best.batch_size in (16, 32, 64, 128)
-    assert best.optimizer_kind in ("Adam", "SGDMomentum", "RMSProp")
+    assert best["batch_size"] in (16, 32, 64, 128)
+    assert best["optimizer_kind"] in ("Adam", "SGDMomentum", "RMSProp")
 
 
 def test_tune_is_deterministic():
     trials = cohort(2, seconds=8, seed=4)
     results = [tune(trials, FakeTrainer(lr_peaked_score), iterations=12,
-                    seed=5)[1] for _ in range(2)]
+                    seed=5) for _ in range(2)]
     assert [h[1] for h in results[0].history] == \
         [h[1] for h in results[1].history]
     assert results[0].best_params == results[1].best_params
 
 
+class SometimesBroken(FakeTrainer):
+    """Fails every fit that uses RMSProp."""
+
+    def fit(self, train_trials, hyperparams, seed, val_trials=None):
+        if hyperparams["optimizer_kind"] == "RMSProp":
+            raise RuntimeError("diverged")
+        return super().fit(train_trials, hyperparams, seed, val_trials)
+
+
 def test_tune_scores_failed_evaluations_as_zero():
     trials = cohort(2, seconds=8, seed=4)
-
-    class SometimesBroken(FakeTrainer):
-        def fit(self, train_trials, hyperparams, seed, val_trials=None):
-            if hyperparams["optimizer_kind"] == "RMSProp":
-                raise RuntimeError("diverged")
-            return super().fit(train_trials, hyperparams, seed, val_trials)
-
-    best, result = tune(trials, SometimesBroken(lambda hp: 0.9),
-                        iterations=10, seed=1)
+    result = tune(trials, SometimesBroken(lambda hp: 0.9), iterations=10,
+                  seed=1)
     gs = [h[1] for h in result.history]
     assert 0.0 in gs            # the broken optimizer scored worst
     assert result.best_g < 0.0  # but healthy evaluations still won
-    assert best.optimizer_kind != "RMSProp"
+    assert result.best_params["optimizer_kind"] != "RMSProp"
+
+
+def test_tune_failures_reach_a_wrapped_objective(monkeypatch):
+    # wrapped the way perfbench's tracer counts failed evaluations: around
+    # the objective that make_inner_objective returns
+    from adhdeepnet import optimize
+
+    original = optimize.make_inner_objective
+    raised = []
+
+    def make_counted_objective(*args, **kwargs):
+        objective = original(*args, **kwargs)
+
+        def counted(*o_args, **o_kwargs):
+            try:
+                return objective(*o_args, **o_kwargs)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        return counted
+
+    monkeypatch.setattr(optimize, "make_inner_objective",
+                        make_counted_objective)
+    result = tune(cohort(2, seconds=8, seed=4),
+                  SometimesBroken(lambda hp: 0.9), iterations=10, seed=1)
+    gs = [h[1] for h in result.history]
+    assert 0 < len(raised) < len(gs)
+    assert all(str(exc) == "diverged" for exc in raised)
+    assert gs.count(0.0) == len(raised)
 
 
 def test_tune_raises_when_everything_fails():
