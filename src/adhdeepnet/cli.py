@@ -8,6 +8,12 @@ files. Every run persists its fully-resolved settings as
 ``run_config.json`` in the output directory, and re-running from that
 file reproduces the results byte for byte (same platform, workers=1).
 
+Each subcommand is declared once, in ``_COMMANDS``: its handler, its
+option defaults and its flags, each flag naming the config field it
+sets. A setting is added there and nowhere else: the parser, the flag
+types, the merge of flags over a ``--config`` file and the set of keys
+that file may hold are all read from that declaration.
+
 Conventions shared by all subcommands:
 
 * ``--data`` accepts a manifest path (or a directory containing
@@ -46,6 +52,7 @@ from .evaluate import (ABLATION_VARIANTS, DEFAULT_HYPERPARAMS,
                        evaluate_with_da)
 from .explain import DEFAULT_LAYER_TAGS, export_analysis
 from .model import ModelConfig, build_adhdeepnet, desk_config
+from .nn import OPTIMIZERS
 from .optimize import TuningError, tune
 from .train import Trainer
 
@@ -53,60 +60,14 @@ EXIT_OK = 0
 EXIT_USER = 1
 EXIT_INTERNAL = 2
 
-_HP_KEYS = ("learning_rate", "dropout_rate", "batch_size", "norm_rate",
-            "optimizer_kind")
+_PRESETS = {"full": ModelConfig, "desk": desk_config}
+_MODES = ("no-da", "da", "ablation")
+# config key -> the values its flag accepts
+_CHOICES = {"preset": tuple(_PRESETS), "mode": _MODES,
+            "optimizer_kind": tuple(OPTIMIZERS)}
 
 _DEFAULT_BO = {"tune": True, "iterations": 25, "seed_points": 10,
                "inner_epochs": 30, "inner_patience": 6, "kappa": 0.1}
-
-_DEFAULT_OPTIONS = {
-    "synth": {"subjects": 20, "seconds": 120.0, "separation": 0.8},
-    "train": {"epochs": 100, "patience": 10, "val_fraction": 0.0,
-              "hyperparams": dict(DEFAULT_HYPERPARAMS)},
-    "tune": {},
-    "evaluate": {"mode": "no-da", "k": 10, "final_epochs": 100,
-                 "final_patience": 10,
-                 "hyperparams": dict(DEFAULT_HYPERPARAMS)},
-    "ablate": {"mode": "ablation", "k": 10,
-               "variants": list(ABLATION_VARIANTS), "final_epochs": 100,
-               "final_patience": 10,
-               "hyperparams": dict(DEFAULT_HYPERPARAMS)},
-    "explain": {"weights": "", "tags": list(DEFAULT_LAYER_TAGS),
-                "perplexity": 30.0, "iterations": 1000, "grid_size": 513},
-}
-
-# flag destination -> (config section, key); lists are comma-separated
-_FLAG_TARGETS = {
-    "synth": {"subjects": ("options", "subjects"),
-              "seconds": ("options", "seconds"),
-              "separation": ("options", "separation")},
-    "train": {"epochs": ("options", "epochs"),
-              "patience": ("options", "patience"),
-              "val_fraction": ("options", "val_fraction"),
-              **{hp: ("hyperparams", hp) for hp in _HP_KEYS}},
-    "tune": {"iterations": ("bo", "iterations"),
-             "seed_points": ("bo", "seed_points"),
-             "inner_epochs": ("bo", "inner_epochs"),
-             "inner_patience": ("bo", "inner_patience"),
-             "kappa": ("bo", "kappa")},
-    "evaluate": {"mode": ("options", "mode"), "k": ("options", "k"),
-                 "tune": ("bo", "tune"),
-                 "tune_iterations": ("bo", "iterations"),
-                 "seed_points": ("bo", "seed_points"),
-                 "inner_epochs": ("bo", "inner_epochs"),
-                 "inner_patience": ("bo", "inner_patience"),
-                 "final_epochs": ("options", "final_epochs"),
-                 "final_patience": ("options", "final_patience"),
-                 **{hp: ("hyperparams", hp) for hp in _HP_KEYS}},
-    "explain": {"weights": ("options", "weights"),
-                "tags": ("options", "tags"),
-                "perplexity": ("options", "perplexity"),
-                "iterations": ("options", "iterations"),
-                "grid_size": ("options", "grid_size")},
-}
-_FLAG_TARGETS["ablate"] = {
-    k: v for k, v in _FLAG_TARGETS["evaluate"].items() if k != "mode"}
-_FLAG_TARGETS["ablate"]["variants"] = ("options", "variants")
 
 _USER_ERRORS = (ValueError, OSError, PlanningError, TuningError)
 
@@ -142,15 +103,14 @@ class RunConfig:
     """
 
     command: str
-    data: str = ""
-    seed: int = 0
-    workers: int = 1
-    out: str = ""
-    model: dict = field(default_factory=lambda: {"preset": "full",
-                                                 "overrides": {}})
-    bo: dict = field(default_factory=lambda: dict(_DEFAULT_BO))
-    combos: list = field(default_factory=list)
-    options: dict = field(default_factory=dict)
+    data: str
+    seed: int
+    workers: int
+    out: str
+    model: dict
+    bo: dict
+    combos: list
+    options: dict
 
     def to_json_text(self):
         return canonical_json(dataclasses.asdict(self))
@@ -168,85 +128,94 @@ def _parse_override(item):
 
 
 def _split_list(text):
-    if isinstance(text, (list, tuple)):
-        return [str(v) for v in text]
     return [part for part in (p.strip() for p in text.split(",")) if part]
 
 
 _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number",
-               str: "a string", list: "a list", dict: "an object"}
+               str: "a string", list: "a list of strings",
+               dict: "an object"}
 
 
-def _check_kind(where, value, default):
-    """Raise ValueError unless the config value ``value`` has the JSON kind
-    of ``default`` (an integer counts as a number). Object values are
-    checked entry by entry against the keys ``default`` holds."""
+def _checked(where, value, default):
+    """``value`` if it has the JSON kind of ``default``, with an integer
+    given for a number made a float; raise ValueError naming the field
+    ``where`` otherwise. Objects are checked key by key against the keys
+    ``default`` holds, except the ``ModelConfig`` fields of
+    ``model.overrides``, which ``_build_model_config`` checks."""
     kind = type(default)
     accepted = (int, float) if kind is float else kind
     if not isinstance(value, accepted) \
-            or (isinstance(value, bool) and kind is not bool):
+            or (isinstance(value, bool) and kind is not bool) \
+            or (kind is list and not all(isinstance(v, str) for v in value)):
         raise ValueError(f"config field {where} must be {_KIND_NAMES[kind]}, "
                          f"got {json.dumps(value)}")
-    if kind is dict:
-        for key, inner in value.items():
-            if key in default:
-                _check_kind(f"{where}.{key}", inner, default[key])
+    if kind is float:
+        return float(value)
+    if kind is not dict or where == "model.overrides":
+        return value
+    checked = {}
+    for key, inner in value.items():
+        path = f"{where}.{key}" if where else key
+        if key not in default:
+            raise ValueError(f"unknown config field {path}")
+        checked[key] = _checked(path, inner, default[key])
+    return checked
+
+
+def _merge(base, update):
+    for key, value in update.items():
+        if isinstance(value, dict) and key in base:
+            _merge(base[key], value)
+        else:
+            base[key] = value
+
+
+def _section(config, section):
+    """The object that holds a flag's key: ``section`` is a dotted path
+    into ``config``, "" for a top-level field."""
+    for name in filter(None, section.split(".")):
+        config = config[name]
+    return config
+
+
+def _dest(flag):
+    return flag[2:].replace("-", "_")  # as argparse derives it
+
+
+def _defaults(command):
+    """Every field of a ``command`` run at its default."""
+    return {
+        "command": command, "data": "", "seed": 0, "workers": 1, "out": "",
+        "model": {"preset": "full", "overrides": {}},
+        "bo": dict(_DEFAULT_BO),
+        "combos": [],
+        "options": json.loads(json.dumps(_COMMANDS[command].options)),
+    }
 
 
 def _merge_config(args):
     """Resolve defaults, then the --config file, then the flags."""
-    command = args.command
-    base = {
-        "command": command, "data": "", "seed": None, "workers": 1,
-        "out": "",
-        "model": {"preset": "full", "overrides": {}},
-        "bo": dict(_DEFAULT_BO),
-        "combos": [],
-        "options": json.loads(json.dumps(_DEFAULT_OPTIONS[command])),
-    }
-    if getattr(args, "config", None):
+    spec = _COMMANDS[args.command]
+    base = _defaults(args.command)
+    known = dict(base, options={**spec.reads, **base["options"]})
+    base["seed"] = None  # unless given: $ADHDNET_SEED, then 0
+    if args.config:
         payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(payload, dict):
             raise ValueError("config file must hold one JSON object")
-        for key, value in payload.items():
-            if key == "command":
-                continue  # the subcommand actually invoked wins
-            if key not in base:
-                raise ValueError(f"unknown config field {key!r}")
-            _check_kind(key, value, 0 if key == "seed" else base[key])
-            if not isinstance(value, dict):
-                base[key] = value
-                continue
-            for inner_key, inner in value.items():
-                if key == "model" and inner_key == "overrides":
-                    base["model"]["overrides"].update(inner)
-                else:
-                    base[key][inner_key] = inner
+        payload.pop("command", None)  # the subcommand actually invoked wins
+        _merge(base, _checked("", payload, known))
 
-    for name in ("data", "out", "workers", "seed"):
-        value = getattr(args, name, None)
-        if value is not None:
-            base[name] = value
-    if getattr(args, "preset", None):
-        base["model"]["preset"] = args.preset
-    for item in getattr(args, "model", None) or []:
-        key, value = _parse_override(item)
-        base["model"]["overrides"][key] = value
-    if getattr(args, "combos", None):
-        base["combos"] = _split_list(args.combos)
-
-    for dest, (section, key) in _FLAG_TARGETS.get(command, {}).items():
-        value = getattr(args, dest, None)
+    for flag, (section, key, _) in {**_COMMON_FLAGS, **spec.flags}.items():
+        value = getattr(args, _dest(flag))
         if value is None:
             continue
-        if dest in ("tags", "variants"):
-            value = _split_list(value)
-        if section == "hyperparams":
-            base["options"]["hyperparams"][key] = value
-            if command in ("evaluate", "ablate"):
-                base["bo"]["tune"] = False  # explicit values switch BO off
-        else:
-            base[section][key] = value
+        _section(base, section)[key] = value
+        if section == "options.hyperparams" and "--no-tune" in spec.flags:
+            base["bo"]["tune"] = False  # explicit values switch BO off
+    for item in args.model or []:
+        key, value = _parse_override(item)
+        base["model"]["overrides"][key] = value
 
     if base["seed"] is None:
         env = os.environ.get("ADHDNET_SEED", "").strip()
@@ -274,21 +243,22 @@ def _prepare_out(config):
     return out
 
 
+def _check_subject_count(total):
+    if total < 2 or total % 2:
+        raise ValueError(f"subjects must be an even count >= 2, got {total}")
+
+
 def _parse_synth_spec(source, default_seed):
-    params = {"subjects": 20, "seconds": 120.0, "separation": 0.8,
-              "seed": default_seed}
-    casts = {"subjects": int, "seconds": float, "separation": float,
-             "seed": int}
+    params = {**_COMMANDS["synth"].options, "seed": default_seed}
     body = source[len("synth:"):]
     for item in filter(None, body.split(",")):
         key, sep, raw = item.partition("=")
-        if not sep or key not in casts:
+        if not sep or key not in params:
             raise ValueError(
                 f"bad synth spec entry {item!r}; expected "
-                f"subjects=/seconds=/separation=/seed=")
-        params[key] = casts[key](raw)
-    if params["subjects"] < 2 or params["subjects"] % 2:
-        raise ValueError("synth spec needs an even subject count >= 2")
+                + "/".join(f"{name}=" for name in params))
+        params[key] = type(params[key])(raw)
+    _check_subject_count(params["subjects"])
     return params
 
 
@@ -313,28 +283,18 @@ def _resolve_data(config):
 
 
 def _build_model_config(config):
-    preset = config.model.get("preset", "full")
-    if preset == "full":
-        base = ModelConfig()
-    elif preset == "desk":
-        base = desk_config()
-    else:
+    preset = config.model["preset"]
+    if preset not in _PRESETS:
         raise ValueError(f"unknown model preset {preset!r}")
     fields = {f.name for f in dataclasses.fields(ModelConfig)}
     clean = {}
-    for key, value in (config.model.get("overrides") or {}).items():
+    for key, value in config.model["overrides"].items():
         if key not in fields:
             raise ValueError(f"unknown model config field {key!r}")
         clean[key] = tuple(value) if isinstance(value, list) else value
-    built = dataclasses.replace(base, **clean)
+    built = _PRESETS[preset](**clean)
     built.validate()
     return built
-
-
-def _full_hyperparams(overrides):
-    hp = dict(DEFAULT_HYPERPARAMS)
-    hp.update(overrides or {})
-    return hp
 
 
 # -- subcommands ------------------------------------------------------------------------
@@ -342,15 +302,12 @@ def _full_hyperparams(overrides):
 
 def cmd_synth(config):
     opts = config.options
-    total = int(opts["subjects"])
-    if total < 2 or total % 2:
-        raise ValueError(f"--subjects must be an even count >= 2, "
-                         f"got {total}")
+    _check_subject_count(opts["subjects"])
     out = _prepare_out(config)
-    _progress(f"synthesizing {total} subjects, {opts['seconds']} s each, "
-              f"separation {opts['separation']}")
-    recordings = generate_synthetic(total // 2, float(opts["seconds"]),
-                                    float(opts["separation"]), config.seed)
+    _progress(f"synthesizing {opts['subjects']} subjects, {opts['seconds']} "
+              f"s each, separation {opts['separation']}")
+    recordings = generate_synthetic(opts["subjects"] // 2, opts["seconds"],
+                                    opts["separation"], config.seed)
     manifest = save_dataset(recordings, out)
     _progress(f"wrote {manifest}")
     return EXIT_OK
@@ -358,21 +315,21 @@ def cmd_synth(config):
 
 def cmd_train(config):
     opts = config.options
-    val_fraction = float(opts["val_fraction"])
+    val_fraction = opts["val_fraction"]
     if not 0 <= val_fraction < 1:  # NaN fails too
         raise ValueError(f"--val-fraction must be in [0, 1), got "
                          f"{val_fraction}")
     out = _prepare_out(config)
     trials = segment_all(_resolve_data(config))
     model_config = _build_model_config(config)
-    hyperparams = _full_hyperparams(opts["hyperparams"])
+    hyperparams = opts["hyperparams"]
 
     train_trials, val = trials, None
     if val_fraction > 0:
         rng = np.random.default_rng([config.seed, 311])
         train_trials, val = _validation_slice(trials, rng, val_fraction)
-    trainer = Trainer(model_config, epochs=int(opts["epochs"]),
-                      patience=int(opts["patience"]))
+    trainer = Trainer(model_config, epochs=opts["epochs"],
+                      patience=opts["patience"])
     _progress(f"training on {len(train_trials)} trials "
               f"(validation {len(val) if val else 0})")
     model, result = trainer.fit(train_trials, hyperparams, seed=config.seed,
@@ -394,13 +351,13 @@ def cmd_tune(config):
     trials = segment_all(_resolve_data(config))
     model_config = _build_model_config(config)
     bo = config.bo
-    trainer = Trainer(model_config, epochs=int(bo["inner_epochs"]),
-                      patience=int(bo["inner_patience"]))
+    trainer = Trainer(model_config, epochs=bo["inner_epochs"],
+                      patience=bo["inner_patience"])
     _progress(f"tuning for {bo['iterations']} iterations on "
               f"{len(trials)} trials")
-    result = tune(trials, trainer, iterations=int(bo["iterations"]),
-                  seed=config.seed, n_seed_points=int(bo["seed_points"]),
-                  kappa=float(bo["kappa"]),
+    result = tune(trials, trainer, iterations=bo["iterations"],
+                  seed=config.seed, n_seed_points=bo["seed_points"],
+                  kappa=bo["kappa"],
                   history_path=str(out / "bo_history.jsonl"))
     payload = {"best_params": result.best_params, "best_g": result.best_g,
                "evaluations": len(result.history)}
@@ -438,18 +395,17 @@ def cmd_evaluate(config):
     recordings = _resolve_data(config)
     model_config = _build_model_config(config)
     opts, bo = config.options, config.bo
-    hyperparams = None if bo.get("tune", True) \
-        else _full_hyperparams(opts["hyperparams"])
-    common = dict(k=int(opts["k"]), seed=config.seed, config=model_config,
+    hyperparams = None if bo["tune"] else opts["hyperparams"]
+    common = dict(k=opts["k"], seed=config.seed, config=model_config,
                   hyperparams=hyperparams,
-                  tune_iterations=int(bo["iterations"]),
-                  tune_seed_points=int(bo["seed_points"]),
-                  tune_kappa=float(bo["kappa"]),
+                  tune_iterations=bo["iterations"],
+                  tune_seed_points=bo["seed_points"],
+                  tune_kappa=bo["kappa"],
                   workers=config.workers, out_dir=str(out),
-                  inner_epochs=int(bo["inner_epochs"]),
-                  inner_patience=int(bo["inner_patience"]),
-                  final_epochs=int(opts["final_epochs"]),
-                  final_patience=int(opts["final_patience"]))
+                  inner_epochs=bo["inner_epochs"],
+                  inner_patience=bo["inner_patience"],
+                  final_epochs=opts["final_epochs"],
+                  final_patience=opts["final_patience"])
     mode = opts["mode"]
     _progress(f"evaluate mode={mode} k={common['k']} "
               f"tune={'on' if hyperparams is None else 'off'} "
@@ -475,8 +431,8 @@ def cmd_evaluate(config):
              "variants": {v: r.to_json_dict() for v, r in reports.items()}})
         text = "".join(reports[v].render_text() for v in variants)
     else:
-        raise ValueError(f"unknown mode {mode!r}; expected no-da, da, "
-                         f"or ablation")
+        raise ValueError(f"unknown mode {mode!r}; expected one of "
+                         f"{', '.join(_MODES)}")
     atomic_write_text(out / "report.json", json_text)
     atomic_write_text(out / "report.txt", text)
     _progress(f"wrote {out / 'report.json'} and report.txt")
@@ -486,7 +442,7 @@ def cmd_evaluate(config):
 def cmd_explain(config):
     out = _prepare_out(config)
     opts = config.options
-    if not opts.get("weights"):
+    if not opts["weights"]:
         raise ValueError("--weights is required")
     trials = segment_all(_resolve_data(config))
     model_config = _build_model_config(config)
@@ -495,62 +451,115 @@ def cmd_explain(config):
     _progress(f"analyzing {len(trials)} trials at tags {opts['tags']}")
     written = export_analysis(model, trials, str(out),
                               layer_tags=tuple(opts["tags"]),
-                              perplexity=float(opts["perplexity"]),
-                              iterations=int(opts["iterations"]),
-                              grid_size=int(opts["grid_size"]))
+                              perplexity=opts["perplexity"],
+                              iterations=opts["iterations"],
+                              grid_size=opts["grid_size"])
     for name in sorted(written):
         _progress(f"wrote {written[name]}")
     return EXIT_OK
 
 
-_COMMANDS = {"synth": cmd_synth, "train": cmd_train, "tune": cmd_tune,
-             "evaluate": cmd_evaluate, "ablate": cmd_evaluate,
-             "explain": cmd_explain}
+# -- the subcommands and their flags --------------------------------------------------------
 
 
-# -- argument parsing --------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand. ``flags`` maps each flag to the (config section,
+    key, help) it sets; the flag's type is the kind of the key's default.
+    ``reads`` holds the option keys, with defaults, that this command
+    reads from another command's ``run_config.json``."""
+
+    run: object
+    help: str
+    options: dict
+    flags: dict
+    reads: dict = field(default_factory=dict)
 
 
-def _add_common(parser, with_data=True):
-    parser.add_argument("--config", metavar="FILE",
-                        help="JSON run configuration; flags override it")
-    parser.add_argument("--seed", type=int,
-                        help="master seed (default: $ADHDNET_SEED, then 0)")
-    parser.add_argument("--out", metavar="DIR", help="output directory")
-    parser.add_argument("--workers", type=int,
-                        help="parallel fold workers (default 1)")
-    parser.add_argument("--preset", choices=("full", "desk"),
-                        help="base model configuration")
-    parser.add_argument("--model", action="append", metavar="KEY=VALUE",
-                        help="model config override, repeatable")
-    if with_data:
-        parser.add_argument("--data", metavar="SOURCE",
-                            help="manifest path or synth:spec")
+_COMMON_FLAGS = {
+    "--seed": ("", "seed", "master seed (default: $ADHDNET_SEED, then 0)"),
+    "--out": ("", "out", "output directory"),
+    "--workers": ("", "workers", "parallel fold workers (default 1)"),
+    "--preset": ("model", "preset", "base model configuration"),
+}
+_DATA_FLAG = {"--data": ("", "data", "manifest path or synth:spec")}
+_HYPERPARAM_FLAGS = {
+    "--learning-rate": ("options.hyperparams", "learning_rate", None),
+    "--dropout": ("options.hyperparams", "dropout_rate", None),
+    "--batch-size": ("options.hyperparams", "batch_size", None),
+    "--norm-rate": ("options.hyperparams", "norm_rate", None),
+    "--optimizer": ("options.hyperparams", "optimizer_kind", None),
+}
+_INNER_FIT_FLAGS = {
+    "--seed-points": ("bo", "seed_points", None),
+    "--inner-epochs": ("bo", "inner_epochs", None),
+    "--inner-patience": ("bo", "inner_patience",
+                         "accepted but has no effect: the inner fits have "
+                         "no validation set to stop on"),
+}
+_PROTOCOL_FLAGS = {
+    "--k": ("options", "k", "outer fold count"),
+    "--no-tune": ("bo", "tune", "skip per-fold tuning, use fixed defaults"),
+    "--tune-iterations": ("bo", "iterations", None),
+    **_INNER_FIT_FLAGS,
+    "--epochs": ("options", "final_epochs",
+                 "final retraining epochs per fold"),
+    "--patience": ("options", "final_patience", None),
+    **_HYPERPARAM_FLAGS,
+}
+_PROTOCOL_OPTIONS = {"k": 10, "final_epochs": 100, "final_patience": 10,
+                     "hyperparams": DEFAULT_HYPERPARAMS}
 
-
-def _add_hyperparams(parser):
-    parser.add_argument("--learning-rate", type=float, dest="learning_rate")
-    parser.add_argument("--dropout", type=float, dest="dropout_rate")
-    parser.add_argument("--batch-size", type=int, dest="batch_size")
-    parser.add_argument("--norm-rate", type=float, dest="norm_rate")
-    parser.add_argument("--optimizer", dest="optimizer_kind",
-                        choices=("Adam", "SGDMomentum", "RMSProp"))
-
-
-def _add_eval_flags(parser):
-    parser.add_argument("--k", type=int, help="outer fold count")
-    parser.add_argument("--no-tune", action="store_const", const=False,
-                        dest="tune",
-                        help="skip per-fold tuning, use fixed defaults")
-    parser.add_argument("--tune-iterations", type=int, dest="tune_iterations")
-    parser.add_argument("--seed-points", type=int, dest="seed_points")
-    parser.add_argument("--inner-epochs", type=int, dest="inner_epochs")
-    parser.add_argument("--inner-patience", type=int, dest="inner_patience")
-    parser.add_argument("--epochs", type=int, dest="final_epochs",
-                        help="final retraining epochs per fold")
-    parser.add_argument("--patience", type=int, dest="final_patience")
-    _add_hyperparams(parser)
-
+_COMMANDS = {
+    "synth": _Command(
+        cmd_synth, "write a synthetic labelled dataset",
+        {"subjects": 20, "seconds": 120.0, "separation": 0.8},
+        {"--subjects": ("options", "subjects", "total subject count, split "
+                        "evenly between classes"),
+         "--seconds": ("options", "seconds", "recording length each"),
+         "--separation": ("options", "separation",
+                          "class contrast in [0,1]")}),
+    "train": _Command(
+        cmd_train, "fit one model on all the data",
+        {"epochs": 100, "patience": 10, "val_fraction": 0.0,
+         "hyperparams": DEFAULT_HYPERPARAMS},
+        {**_DATA_FLAG,
+         "--epochs": ("options", "epochs", None),
+         "--patience": ("options", "patience", None),
+         "--val-fraction": ("options", "val_fraction", "held-out subject "
+                            "fraction for early stopping"),
+         **_HYPERPARAM_FLAGS}),
+    "tune": _Command(
+        cmd_tune, "hyperparameter search on all the data", {},
+        {**_DATA_FLAG, "--iterations": ("bo", "iterations", None),
+         **_INNER_FIT_FLAGS, "--kappa": ("bo", "kappa", None)}),
+    "evaluate": _Command(
+        cmd_evaluate, "cross-subject k-fold evaluation",
+        {"mode": "no-da", **_PROTOCOL_OPTIONS},
+        {**_DATA_FLAG, "--mode": ("options", "mode", None),
+         "--combos": ("", "combos",
+                      "comma-separated combo ids for --mode da"),
+         **_PROTOCOL_FLAGS},
+        reads={"variants": list(ABLATION_VARIANTS)}),  # from ablate
+    "ablate": _Command(
+        cmd_evaluate, "evaluate every topology variant",
+        {"mode": "ablation", "variants": list(ABLATION_VARIANTS),
+         **_PROTOCOL_OPTIONS},
+        {**_DATA_FLAG,
+         "--variants": ("options", "variants",
+                        f"comma-separated subset of {ABLATION_VARIANTS}"),
+         **_PROTOCOL_FLAGS}),
+    "explain": _Command(
+        cmd_explain, "export model analysis files",
+        {"weights": "", "tags": list(DEFAULT_LAYER_TAGS),
+         "perplexity": 30.0, "iterations": 1000, "grid_size": 513},
+        {**_DATA_FLAG, "--weights": ("options", "weights", "trained weights"),
+         "--tags": ("options", "tags",
+                    "comma-separated capture tags to embed"),
+         "--perplexity": ("options", "perplexity", None),
+         "--iterations": ("options", "iterations", None),
+         "--grid-size": ("options", "grid_size", None)}),
+}
 
 def build_parser():
     parser = _CliParser(
@@ -558,52 +567,24 @@ def build_parser():
         description="EEG classification workbench: synthesize data, train, "
                     "tune, evaluate, and analyze models.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    p = sub.add_parser("synth", help="write a synthetic labelled dataset")
-    _add_common(p, with_data=False)
-    p.add_argument("--subjects", type=int,
-                   help="total subject count, split evenly between classes")
-    p.add_argument("--seconds", type=float, help="recording length each")
-    p.add_argument("--separation", type=float,
-                   help="class contrast in [0,1]")
-
-    p = sub.add_parser("train", help="fit one model on all the data")
-    _add_common(p)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--val-fraction", type=float, dest="val_fraction",
-                   help="held-out subject fraction for early stopping")
-    _add_hyperparams(p)
-
-    p = sub.add_parser("tune", help="hyperparameter search on all the data")
-    _add_common(p)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--seed-points", type=int, dest="seed_points")
-    p.add_argument("--inner-epochs", type=int, dest="inner_epochs")
-    p.add_argument("--inner-patience", type=int, dest="inner_patience")
-    p.add_argument("--kappa", type=float)
-
-    p = sub.add_parser("evaluate", help="cross-subject k-fold evaluation")
-    _add_common(p)
-    p.add_argument("--mode", choices=("no-da", "da", "ablation"))
-    p.add_argument("--combos", metavar="IDS",
-                   help="comma-separated combo ids for --mode da")
-    _add_eval_flags(p)
-
-    p = sub.add_parser("ablate", help="evaluate every topology variant")
-    _add_common(p)
-    p.add_argument("--variants", metavar="NAMES",
-                   help=f"comma-separated subset of {ABLATION_VARIANTS}")
-    _add_eval_flags(p)
-
-    p = sub.add_parser("explain", help="export model analysis files")
-    _add_common(p)
-    p.add_argument("--weights", metavar="FILE", help="trained weights")
-    p.add_argument("--tags", metavar="NAMES",
-                   help="comma-separated capture tags to embed")
-    p.add_argument("--perplexity", type=float)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--grid-size", type=int, dest="grid_size")
+    for name, spec in _COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        p.add_argument("--config", metavar="FILE",
+                       help="JSON run configuration; flags override it")
+        p.add_argument("--model", action="append", metavar="KEY=VALUE",
+                       help="model config override, repeatable")
+        defaults = _defaults(name)
+        for flag, (section, key, help_) in {**_COMMON_FLAGS,
+                                            **spec.flags}.items():
+            default = _section(defaults, section)[key]
+            kind = type(default)
+            if kind is bool:
+                p.add_argument(flag, action="store_const",
+                               const=not default, help=help_)
+            else:
+                p.add_argument(flag, type=_split_list if kind is list
+                               else kind, choices=_CHOICES.get(key),
+                               help=help_)
     return parser
 
 
@@ -625,7 +606,7 @@ def main(argv=None):
         return EXIT_USER
     try:
         config = _merge_config(args)
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[config.command].run(config)
     except _USER_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USER

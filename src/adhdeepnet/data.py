@@ -347,6 +347,12 @@ def _read_matrix(path):
     return raw.reshape(len(CHANNELS), -1)
 
 
+# the JSON kind of each manifest entry field, where present
+_ENTRY_KINDS = {"subject_id": (str, "a string"), "path": (str, "a string"),
+                "label": (str, "a string"), "fs": ((int, float), "a number"),
+                "channels": (list, "a list")}
+
+
 def load_dataset(manifest_path):
     """Load and validate recordings listed in a JSON manifest.
 
@@ -357,8 +363,12 @@ def load_dataset(manifest_path):
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     if isinstance(manifest, dict):
-        declared = manifest.get("channels")
-        if declared is not None and tuple(declared) != CHANNELS:
+        declared = manifest.get("channels", list(CHANNELS))
+        if not isinstance(declared, list):
+            raise IngestionError(
+                f"{manifest_path}: channels must be a list, got "
+                f"{json.dumps(declared)}")
+        if tuple(declared) != CHANNELS:
             raise IngestionError(
                 f"manifest channel order {declared} does not match the "
                 f"required order {list(CHANNELS)}")
@@ -374,10 +384,17 @@ def load_dataset(manifest_path):
     recordings, problems = [], []
     for entry in entries:
         sid = entry.get("subject_id", "<missing id>")
+        wrong = [f"{name} must be {what}, got {json.dumps(entry[name])}"
+                 for name, (kind, what) in _ENTRY_KINDS.items()
+                 if name in entry and (not isinstance(entry[name], kind)
+                                       or isinstance(entry[name], bool))]
+        if wrong:
+            owner = sid if isinstance(sid, str) else json.dumps(sid)
+            problems.append(f"{owner}: " + "; ".join(wrong))
+            continue
         try:
             fs = int(entry.get("fs", FS))
-            declared = entry.get("channels")
-            if declared is not None and tuple(declared) != CHANNELS:
+            if tuple(entry.get("channels", CHANNELS)) != CHANNELS:
                 raise IngestionError(
                     f"{sid}: channel order in manifest entry does not match "
                     f"the required electrode order")

@@ -5,6 +5,8 @@ observable without subprocesses. Model sizes are shrunk to keep each
 command under a few seconds.
 """
 
+import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -102,19 +104,22 @@ def test_evaluate_rejects_cohort_with_nan_sample(dataset_dir, tmp_path,
     assert entry["subject_id"] in err and "C3" in err and "100" in err
 
 
-@pytest.mark.parametrize("command,extra", [
-    ("evaluate", ()),
-    ("evaluate", ("--mode", "da", "--combos", "C1,C10", "--epochs", "1")),
-    ("ablate", ("--epochs", "1")),
-], ids=["no-da", "da", "ablate"])
+@pytest.mark.parametrize("command,replay,extra", [
+    ("evaluate", "evaluate", ()),
+    ("evaluate", "evaluate",
+     ("--mode", "da", "--combos", "C1,C10", "--epochs", "1")),
+    ("ablate", "ablate", ("--epochs", "1")),
+    # evaluate reads the `variants` an ablate config holds
+    ("ablate", "evaluate", ("--variants", "full,eegnet", "--epochs", "1")),
+], ids=["no-da", "da", "ablate", "ablate-through-evaluate"])
 def test_rerun_from_persisted_config_is_byte_identical(dataset_dir,
                                                        tmp_path, command,
-                                                       extra):
+                                                       replay, extra):
     first = tmp_path / "run1"
     second = tmp_path / "run2"
     assert run_cli(command, *evaluate_args(dataset_dir, first, *extra)[1:]) \
         == 0
-    assert run_cli(command, "--config", str(first / "run_config.json"),
+    assert run_cli(replay, "--config", str(first / "run_config.json"),
                    "--out", str(second)) == 0
     assert (first / "report.json").read_bytes() \
         == (second / "report.json").read_bytes()
@@ -473,39 +478,191 @@ def test_out_of_range_fraction_and_workers_fail_before_any_forward(
     ("train", {"options": {"hyperparams": {"batch_size": "8"}}},
      'config field options.hyperparams.batch_size must be an integer, '
      'got "8"'),
+    ("synth", {"bo": {"iteratons": 1}, "options": {"subjects": 4}},
+     "unknown config field bo.iteratons"),
+    ("synth", {"options": {"subjets": 8}},
+     "unknown config field options.subjets"),
+    ("tune", {"options": {"iterations": 3}},
+     "unknown config field options.iterations"),
+    ("train", {"options": {"hyperparams": {"batchsize": 8}}},
+     "unknown config field options.hyperparams.batchsize"),
+    ("evaluate", {"model": {"presett": "desk"}},
+     "unknown config field model.presett"),
+    ("evaluate", {"combos": [["C1"]]},
+     'config field combos must be a list of strings, got [["C1"]]'),
+    # only evaluate reads the `variants` of an ablate config
+    ("train", {"options": {"variants": ["full"]}},
+     "unknown config field options.variants"),
 ], ids=["model-number", "bo-list", "options-string", "seed-list",
         "evaluate-iterations-null", "tune-iterations-null",
-        "batch-size-string"])
+        "batch-size-string", "synth-bo-typo", "synth-options-typo",
+        "tune-options-key", "hyperparams-typo", "model-typo",
+        "combos-nested-list", "train-variants"])
 def test_malformed_config_file_is_user_error(dataset_dir, tmp_path, capsys,
                                              command, payload, message):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(payload))
-    code = run_cli(command, "--config", str(config), "--data",
-                   str(dataset_dir), "--out", str(tmp_path / "run"),
-                   *TINY_MODEL)
+    data = () if command == "synth" else ("--data", str(dataset_dir))
+    code = run_cli(command, "--config", str(config), *data, "--out",
+                   str(tmp_path / "run"), *TINY_MODEL)
     assert code == 1
     err = capsys.readouterr().err
     assert f"error: {message}" in err
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("manifest", [
-    {"recordings": []},
-    {"subjects": "s1.f32"},
-    ["s1.f32", "s2.f32"],
-], ids=["object-without-subjects", "subjects-string", "list-of-strings"])
-def test_malformed_manifest_is_user_error(tmp_path, capsys, manifest):
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(manifest))
-    code = run_cli(*evaluate_args(tmp_path, tmp_path / "o"))
+def _first_entry(**fields):
+    def mutate(manifest):
+        manifest["subjects"][0].update(fields)
+        return manifest
+    return mutate
+
+
+NOT_A_SUBJECT_LIST = "{path}: the manifest must be a list of subject objects"
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda m: {"recordings": []}, NOT_A_SUBJECT_LIST),
+    (lambda m: {"subjects": "s1.f32"}, NOT_A_SUBJECT_LIST),
+    (lambda m: ["s1.f32", "s2.f32"], NOT_A_SUBJECT_LIST),
+    (_first_entry(path=5), "{sid}: path must be a string, got 5"),
+    (lambda m: {**m, "channels": 5}, "{path}: channels must be a list, got 5"),
+    (_first_entry(channels=5), "{sid}: channels must be a list, got 5"),
+    (_first_entry(fs=[1]), "{sid}: fs must be a number, got [1]"),
+    (_first_entry(subject_id=5, path="missing.f32"),
+     "5: subject_id must be a string, got 5"),
+    (_first_entry(subject_id=5), "5: subject_id must be a string, got 5"),
+    (_first_entry(subject_id=[1]),
+     "[1]: subject_id must be a string, got [1]"),
+], ids=["object-without-subjects", "subjects-string", "list-of-strings",
+        "path-number", "channels-number", "entry-channels-number",
+        "fs-list", "subject-id-number-missing-file", "subject-id-number",
+        "subject-id-list"])
+def test_malformed_manifest_is_user_error(dataset_dir, tmp_path, capsys,
+                                          mutate, message):
+    path = dataset_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    sid = manifest["subjects"][0]["subject_id"]
+    path.write_text(json.dumps(mutate(manifest)))
+    code = run_cli(*evaluate_args(dataset_dir, tmp_path / "o"))
     assert code == 1
     err = capsys.readouterr().err
-    assert f"error: {path}: the manifest must be a list of subject " \
-        "objects" in err
+    assert "error: " in err
+    assert message.format(path=path, sid=sid) in err
     assert "Traceback" not in err
 
 
 # -- flag handling, seeds, exit codes ---------------------------------------
+
+
+COMMON_FLAGS = {
+    "-h/--help": (), "--config": (), "--seed": ("seed:int",),
+    "--out": ("out:str",), "--workers": ("workers:int",),
+    "--preset": ("model.preset:str",),
+    "--model": ("model.overrides.temporal_filters:int",),
+}
+DATA_FLAG = {"--data": ("data:str",)}
+HYPERPARAM_FLAGS = {
+    "--learning-rate": ("options.hyperparams.learning_rate:float",),
+    "--dropout": ("options.hyperparams.dropout_rate:float",),
+    "--batch-size": ("options.hyperparams.batch_size:int",),
+    "--norm-rate": ("options.hyperparams.norm_rate:float",),
+    "--optimizer": ("options.hyperparams.optimizer_kind:str",),
+}
+PROTOCOL_FLAGS = {
+    "--k": ("options.k:int",), "--no-tune": ("bo.tune:bool",),
+    "--tune-iterations": ("bo.iterations:int",),
+    "--seed-points": ("bo.seed_points:int",),
+    "--inner-epochs": ("bo.inner_epochs:int",),
+    "--inner-patience": ("bo.inner_patience:int",),
+    "--epochs": ("options.final_epochs:int",),
+    "--patience": ("options.final_patience:int",),
+    # a fixed hyperparameter switches the per-fold search off
+    **{flag: ("bo.tune:bool", *targets)
+       for flag, targets in HYPERPARAM_FLAGS.items()},
+}
+# option -> the config fields (path:kind) it sets, per subcommand
+FLAG_CONTRACT = {
+    "synth": {**COMMON_FLAGS, "--subjects": ("options.subjects:int",),
+              "--seconds": ("options.seconds:float",),
+              "--separation": ("options.separation:float",)},
+    "train": {**COMMON_FLAGS, **DATA_FLAG,
+              "--epochs": ("options.epochs:int",),
+              "--patience": ("options.patience:int",),
+              "--val-fraction": ("options.val_fraction:float",),
+              **HYPERPARAM_FLAGS},
+    "tune": {**COMMON_FLAGS, **DATA_FLAG,
+             "--iterations": ("bo.iterations:int",),
+             "--seed-points": ("bo.seed_points:int",),
+             "--inner-epochs": ("bo.inner_epochs:int",),
+             "--inner-patience": ("bo.inner_patience:int",),
+             "--kappa": ("bo.kappa:float",)},
+    "evaluate": {**COMMON_FLAGS, **DATA_FLAG, **PROTOCOL_FLAGS,
+                 "--mode": ("options.mode:str",),
+                 "--combos": ("combos:list",)},
+    "ablate": {**COMMON_FLAGS, **DATA_FLAG, **PROTOCOL_FLAGS,
+               "--variants": ("options.variants:list",)},
+    "explain": {**COMMON_FLAGS, **DATA_FLAG,
+                "--weights": ("options.weights:str",),
+                "--tags": ("options.tags:list",),
+                "--perplexity": ("options.perplexity:float",),
+                "--iterations": ("options.iterations:int",),
+                "--grid-size": ("options.grid_size:int",)},
+}
+FLAG_CHOICES = {"--preset": ("full", "desk"),
+                "--mode": ("no-da", "da", "ablation"),
+                "--optimizer": ("Adam", "SGDMomentum", "RMSProp")}
+
+
+def _flat(payload, prefix=""):
+    out = {}
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            out.update(_flat(value, f"{prefix}{key}."))
+        else:
+            out[f"{prefix}{key}"] = value
+    return out
+
+
+def _merged(parser, argv):
+    config = cli._merge_config(parser.parse_args(argv))
+    return _flat(dataclasses.asdict(config))
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_CONTRACT))
+def test_every_subcommand_keeps_its_flags(monkeypatch, command):
+    """Each flag sets the same config fields, with the same kinds and
+    choices: read by parsing it and diffing the merged configuration
+    against the subcommand's defaults."""
+    monkeypatch.delenv("ADHDNET_SEED", raising=False)
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    base = _merged(parser, [command])
+    found, choices = {}, {}
+    for action in sub.choices[command]._actions:
+        name = "/".join(action.option_strings)
+        if action.choices:
+            choices[name] = tuple(action.choices)
+        if action.dest in ("help", "config"):
+            found[name] = ()
+            continue
+        if action.nargs == 0:
+            argv = [name]
+        elif action.choices:
+            argv = [name, list(action.choices)[-1]]
+        elif action.dest == "model":
+            argv = [name, "temporal_filters=7"]
+        else:
+            argv = [name, "7"]
+        got = _merged(parser, [command, *argv])
+        found[name] = tuple(sorted(
+            f"{path}:{type(got[path]).__name__}" for path in got
+            if path not in base or got[path] != base[path]))
+    assert found == {k: tuple(sorted(v))
+                     for k, v in FLAG_CONTRACT[command].items()}
+    assert choices == {k: v for k, v in FLAG_CHOICES.items()
+                       if k in FLAG_CONTRACT[command]}
 
 
 def test_unknown_flag_prints_usage_and_exits_1(capsys):

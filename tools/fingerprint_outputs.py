@@ -2,10 +2,12 @@
 
     python tools/fingerprint_outputs.py OUT
 
-Runs six commands in-process through ``cli.main`` on the synthetic cohort
-``synth:subjects=8,seconds=24,separation=1.0,seed=3``, each writing under
-its own directory of OUT:
+Runs seven commands in-process through ``cli.main``, each writing under
+its own directory of OUT. ``synth`` writes a 4-subject cohort; the others
+run on the synthetic cohort
+``synth:subjects=8,seconds=24,separation=1.0,seed=3``:
 
+* ``synth``: ``synth --subjects 4 --seconds 8 --separation 0.9``
 * ``tune``: desk ``tune``
 * ``evaluate``: tuned desk ``evaluate``
 * ``evaluate-da``: tuned desk ``evaluate --mode da --combos C1,C10``
@@ -47,6 +49,8 @@ WALL_TIME = re.compile(rb'"wall_time_s": [-+.0-9eE]+')
 
 def commands(weights):
     return {
+        "synth": ("synth", "--subjects", "4", "--seconds", "8",
+                  "--separation", "0.9", "--seed", "3"),
         "tune": ("tune", *DESK, "--iterations", "4", "--seed-points", "2",
                  "--inner-epochs", "1"),
         "evaluate": ("evaluate", *DESK, *TUNED),
