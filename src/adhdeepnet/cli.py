@@ -40,6 +40,7 @@ import sys
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,13 +207,13 @@ def _merge_config(args):
         payload.pop("command", None)  # the subcommand actually invoked wins
         _merge(base, _checked("", payload, known))
 
-    for flag, (section, key, _) in {**_COMMON_FLAGS, **spec.flags}.items():
+    for flag, target in {**_COMMON_FLAGS, **spec.flags}.items():
         value = getattr(args, _dest(flag))
         if value is None:
             continue
-        _section(base, section)[key] = value
-        if section == "options.hyperparams" and "--no-tune" in spec.flags:
-            base["bo"]["tune"] = False  # explicit values switch BO off
+        _section(base, target.section)[target.key] = value
+        if target.skips_tuning:
+            base["bo"]["tune"] = False
     for item in args.model or []:
         key, value = _parse_override(item)
         base["model"]["overrides"][key] = value
@@ -462,10 +463,21 @@ def cmd_explain(config):
 # -- the subcommands and their flags --------------------------------------------------------
 
 
+class _Flag(NamedTuple):
+    """A flag sets ``key`` of the object at the dotted ``section`` ("" for
+    the top level) and takes the kind of that key's default. A value given
+    for a ``skips_tuning`` flag replaces the protocol's per-fold search."""
+
+    section: str
+    key: str
+    help: str | None = None
+    metavar: str | None = None
+    skips_tuning: bool = False
+
+
 @dataclass(frozen=True)
 class _Command:
-    """One subcommand. ``flags`` maps each flag to the (config section,
-    key, help) it sets; the flag's type is the kind of the key's default.
+    """One subcommand. ``flags`` maps each flag to the ``_Flag`` it sets.
     ``reads`` holds the option keys, with defaults, that this command
     reads from another command's ``run_config.json``."""
 
@@ -477,35 +489,40 @@ class _Command:
 
 
 _COMMON_FLAGS = {
-    "--seed": ("", "seed", "master seed (default: $ADHDNET_SEED, then 0)"),
-    "--out": ("", "out", "output directory"),
-    "--workers": ("", "workers", "parallel fold workers (default 1)"),
-    "--preset": ("model", "preset", "base model configuration"),
+    "--seed": _Flag("", "seed",
+                    "master seed (default: $ADHDNET_SEED, then 0)"),
+    "--out": _Flag("", "out", "output directory", "DIR"),
+    "--workers": _Flag("", "workers", "parallel fold workers (default 1)"),
+    "--preset": _Flag("model", "preset", "base model configuration"),
 }
-_DATA_FLAG = {"--data": ("", "data", "manifest path or synth:spec")}
+_DATA_FLAG = {"--data": _Flag("", "data", "manifest path or synth:spec",
+                              "SOURCE")}
 _HYPERPARAM_FLAGS = {
-    "--learning-rate": ("options.hyperparams", "learning_rate", None),
-    "--dropout": ("options.hyperparams", "dropout_rate", None),
-    "--batch-size": ("options.hyperparams", "batch_size", None),
-    "--norm-rate": ("options.hyperparams", "norm_rate", None),
-    "--optimizer": ("options.hyperparams", "optimizer_kind", None),
+    "--learning-rate": _Flag("options.hyperparams", "learning_rate"),
+    "--dropout": _Flag("options.hyperparams", "dropout_rate"),
+    "--batch-size": _Flag("options.hyperparams", "batch_size"),
+    "--norm-rate": _Flag("options.hyperparams", "norm_rate"),
+    "--optimizer": _Flag("options.hyperparams", "optimizer_kind"),
 }
 _INNER_FIT_FLAGS = {
-    "--seed-points": ("bo", "seed_points", None),
-    "--inner-epochs": ("bo", "inner_epochs", None),
-    "--inner-patience": ("bo", "inner_patience",
-                         "accepted but has no effect: the inner fits have "
-                         "no validation set to stop on"),
+    "--seed-points": _Flag("bo", "seed_points"),
+    "--inner-epochs": _Flag("bo", "inner_epochs"),
+    "--inner-patience": _Flag("bo", "inner_patience",
+                              "accepted but has no effect: the inner fits "
+                              "have no validation set to stop on"),
 }
 _PROTOCOL_FLAGS = {
-    "--k": ("options", "k", "outer fold count"),
-    "--no-tune": ("bo", "tune", "skip per-fold tuning, use fixed defaults"),
-    "--tune-iterations": ("bo", "iterations", None),
+    "--k": _Flag("options", "k", "outer fold count"),
+    "--no-tune": _Flag("bo", "tune",
+                       "skip per-fold tuning, use fixed defaults"),
+    "--tune-iterations": _Flag("bo", "iterations"),
     **_INNER_FIT_FLAGS,
-    "--epochs": ("options", "final_epochs",
-                 "final retraining epochs per fold"),
-    "--patience": ("options", "final_patience", None),
-    **_HYPERPARAM_FLAGS,
+    "--epochs": _Flag("options", "final_epochs",
+                      "final retraining epochs per fold"),
+    "--patience": _Flag("options", "final_patience"),
+    # a hyperparameter fixed on the command line is not searched per fold
+    **{flag: target._replace(skips_tuning=True)
+       for flag, target in _HYPERPARAM_FLAGS.items()},
 }
 _PROTOCOL_OPTIONS = {"k": 10, "final_epochs": 100, "final_patience": 10,
                      "hyperparams": DEFAULT_HYPERPARAMS}
@@ -514,31 +531,31 @@ _COMMANDS = {
     "synth": _Command(
         cmd_synth, "write a synthetic labelled dataset",
         {"subjects": 20, "seconds": 120.0, "separation": 0.8},
-        {"--subjects": ("options", "subjects", "total subject count, split "
-                        "evenly between classes"),
-         "--seconds": ("options", "seconds", "recording length each"),
-         "--separation": ("options", "separation",
-                          "class contrast in [0,1]")}),
+        {"--subjects": _Flag("options", "subjects", "total subject count, "
+                             "split evenly between classes"),
+         "--seconds": _Flag("options", "seconds", "recording length each"),
+         "--separation": _Flag("options", "separation",
+                               "class contrast in [0,1]")}),
     "train": _Command(
         cmd_train, "fit one model on all the data",
         {"epochs": 100, "patience": 10, "val_fraction": 0.0,
          "hyperparams": DEFAULT_HYPERPARAMS},
         {**_DATA_FLAG,
-         "--epochs": ("options", "epochs", None),
-         "--patience": ("options", "patience", None),
-         "--val-fraction": ("options", "val_fraction", "held-out subject "
-                            "fraction for early stopping"),
+         "--epochs": _Flag("options", "epochs"),
+         "--patience": _Flag("options", "patience"),
+         "--val-fraction": _Flag("options", "val_fraction", "held-out "
+                                 "subject fraction for early stopping"),
          **_HYPERPARAM_FLAGS}),
     "tune": _Command(
         cmd_tune, "hyperparameter search on all the data", {},
-        {**_DATA_FLAG, "--iterations": ("bo", "iterations", None),
-         **_INNER_FIT_FLAGS, "--kappa": ("bo", "kappa", None)}),
+        {**_DATA_FLAG, "--iterations": _Flag("bo", "iterations"),
+         **_INNER_FIT_FLAGS, "--kappa": _Flag("bo", "kappa")}),
     "evaluate": _Command(
         cmd_evaluate, "cross-subject k-fold evaluation",
         {"mode": "no-da", **_PROTOCOL_OPTIONS},
-        {**_DATA_FLAG, "--mode": ("options", "mode", None),
-         "--combos": ("", "combos",
-                      "comma-separated combo ids for --mode da"),
+        {**_DATA_FLAG, "--mode": _Flag("options", "mode"),
+         "--combos": _Flag("", "combos",
+                           "comma-separated combo ids for --mode da", "IDS"),
          **_PROTOCOL_FLAGS},
         reads={"variants": list(ABLATION_VARIANTS)}),  # from ablate
     "ablate": _Command(
@@ -546,19 +563,20 @@ _COMMANDS = {
         {"mode": "ablation", "variants": list(ABLATION_VARIANTS),
          **_PROTOCOL_OPTIONS},
         {**_DATA_FLAG,
-         "--variants": ("options", "variants",
-                        f"comma-separated subset of {ABLATION_VARIANTS}"),
+         "--variants": _Flag("options", "variants", "comma-separated "
+                             f"subset of {ABLATION_VARIANTS}", "NAMES"),
          **_PROTOCOL_FLAGS}),
     "explain": _Command(
         cmd_explain, "export model analysis files",
         {"weights": "", "tags": list(DEFAULT_LAYER_TAGS),
          "perplexity": 30.0, "iterations": 1000, "grid_size": 513},
-        {**_DATA_FLAG, "--weights": ("options", "weights", "trained weights"),
-         "--tags": ("options", "tags",
-                    "comma-separated capture tags to embed"),
-         "--perplexity": ("options", "perplexity", None),
-         "--iterations": ("options", "iterations", None),
-         "--grid-size": ("options", "grid_size", None)}),
+        {**_DATA_FLAG,
+         "--weights": _Flag("options", "weights", "trained weights", "FILE"),
+         "--tags": _Flag("options", "tags",
+                         "comma-separated capture tags to embed", "NAMES"),
+         "--perplexity": _Flag("options", "perplexity"),
+         "--iterations": _Flag("options", "iterations"),
+         "--grid-size": _Flag("options", "grid_size")}),
 }
 
 def build_parser():
@@ -569,23 +587,30 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name, spec in _COMMANDS.items():
         p = sub.add_parser(name, help=spec.help)
+        defaults = _defaults(name)
         p.add_argument("--config", metavar="FILE",
                        help="JSON run configuration; flags override it")
+        _add_flags(p, _COMMON_FLAGS, defaults)
         p.add_argument("--model", action="append", metavar="KEY=VALUE",
                        help="model config override, repeatable")
-        defaults = _defaults(name)
-        for flag, (section, key, help_) in {**_COMMON_FLAGS,
-                                            **spec.flags}.items():
-            default = _section(defaults, section)[key]
-            kind = type(default)
-            if kind is bool:
-                p.add_argument(flag, action="store_const",
-                               const=not default, help=help_)
-            else:
-                p.add_argument(flag, type=_split_list if kind is list
-                               else kind, choices=_CHOICES.get(key),
-                               help=help_)
+        _add_flags(p, spec.flags, defaults)
     return parser
+
+
+def _add_flags(parser, flags, defaults):
+    for flag, target in flags.items():
+        default = _section(defaults, target.section)[target.key]
+        kind = type(default)
+        if kind is bool:
+            parser.add_argument(flag, action="store_const",
+                                const=not default, help=target.help)
+        else:
+            choices = _CHOICES.get(target.key)
+            parser.add_argument(
+                flag, type=_split_list if kind is list else kind,
+                choices=choices, help=target.help,
+                metavar=target.metavar or (None if choices
+                                           else target.key.upper()))
 
 
 def main(argv=None):

@@ -349,8 +349,17 @@ def _read_matrix(path):
 
 # the JSON kind of each manifest entry field, where present
 _ENTRY_KINDS = {"subject_id": (str, "a string"), "path": (str, "a string"),
-                "label": (str, "a string"), "fs": ((int, float), "a number"),
+                "label": (str, "a string"),
+                "fs": ((int, float), "a whole number"),
                 "channels": (list, "a list")}
+
+
+def _wrong_kind(value, kind):
+    """True unless ``value`` is of ``kind``; a bool is no number, and a
+    float (1e400 reads as infinity) must hold a whole number."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return True
+    return isinstance(value, float) and not value.is_integer()
 
 
 def load_dataset(manifest_path):
@@ -386,8 +395,7 @@ def load_dataset(manifest_path):
         sid = entry.get("subject_id", "<missing id>")
         wrong = [f"{name} must be {what}, got {json.dumps(entry[name])}"
                  for name, (kind, what) in _ENTRY_KINDS.items()
-                 if name in entry and (not isinstance(entry[name], kind)
-                                       or isinstance(entry[name], bool))]
+                 if name in entry and _wrong_kind(entry[name], kind)]
         if wrong:
             owner = sid if isinstance(sid, str) else json.dumps(sid)
             problems.append(f"{owner}: " + "; ".join(wrong))

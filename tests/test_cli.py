@@ -518,37 +518,48 @@ def _first_entry(**fields):
     return mutate
 
 
-NOT_A_SUBJECT_LIST = "{path}: the manifest must be a list of subject objects"
+NOT_A_SUBJECT_LIST = ("{path}: the manifest must be a list of subject objects,"
+                      ' or an object whose "subjects" holds that list')
+# one bad entry: the count line, then the entry's problem indented under it
+ONE_FAILED = "1 of {count} subjects failed to load:\n  "
 
 
 @pytest.mark.parametrize("mutate,message", [
     (lambda m: {"recordings": []}, NOT_A_SUBJECT_LIST),
     (lambda m: {"subjects": "s1.f32"}, NOT_A_SUBJECT_LIST),
     (lambda m: ["s1.f32", "s2.f32"], NOT_A_SUBJECT_LIST),
-    (_first_entry(path=5), "{sid}: path must be a string, got 5"),
     (lambda m: {**m, "channels": 5}, "{path}: channels must be a list, got 5"),
-    (_first_entry(channels=5), "{sid}: channels must be a list, got 5"),
-    (_first_entry(fs=[1]), "{sid}: fs must be a number, got [1]"),
+    (_first_entry(path=5), ONE_FAILED + "{sid}: path must be a string, got 5"),
+    (_first_entry(channels=5),
+     ONE_FAILED + "{sid}: channels must be a list, got 5"),
+    (_first_entry(fs=[1]),
+     ONE_FAILED + "{sid}: fs must be a whole number, got [1]"),
+    (_first_entry(fs=1e400),
+     ONE_FAILED + "{sid}: fs must be a whole number, got Infinity"),
+    (_first_entry(fs=128.7),
+     ONE_FAILED + "{sid}: fs must be a whole number, got 128.7"),
     (_first_entry(subject_id=5, path="missing.f32"),
-     "5: subject_id must be a string, got 5"),
-    (_first_entry(subject_id=5), "5: subject_id must be a string, got 5"),
+     ONE_FAILED + "5: subject_id must be a string, got 5"),
+    (_first_entry(subject_id=5),
+     ONE_FAILED + "5: subject_id must be a string, got 5"),
     (_first_entry(subject_id=[1]),
-     "[1]: subject_id must be a string, got [1]"),
+     ONE_FAILED + "[1]: subject_id must be a string, got [1]"),
 ], ids=["object-without-subjects", "subjects-string", "list-of-strings",
-        "path-number", "channels-number", "entry-channels-number",
-        "fs-list", "subject-id-number-missing-file", "subject-id-number",
-        "subject-id-list"])
+        "channels-number", "path-number", "entry-channels-number", "fs-list",
+        "fs-infinite", "fs-fraction", "subject-id-number-missing-file",
+        "subject-id-number", "subject-id-list"])
 def test_malformed_manifest_is_user_error(dataset_dir, tmp_path, capsys,
                                           mutate, message):
     path = dataset_dir / "manifest.json"
     manifest = json.loads(path.read_text())
+    count = len(manifest["subjects"])
     sid = manifest["subjects"][0]["subject_id"]
     path.write_text(json.dumps(mutate(manifest)))
     code = run_cli(*evaluate_args(dataset_dir, tmp_path / "o"))
     assert code == 1
     err = capsys.readouterr().err
-    assert "error: " in err
-    assert message.format(path=path, sid=sid) in err
+    line = message.format(path=path, count=count, sid=sid)
+    assert f"error: {line}\n" in err
     assert "Traceback" not in err
 
 

@@ -20,7 +20,7 @@ from adhdeepnet import cli
 from adhdeepnet.data import (EegRecording, IngestionError, generate_synthetic,
                              load_dataset, save_dataset)
 
-VALUES = st.sampled_from([None, True, False, 0, -3, 7, 2.5, "", "x",
+VALUES = st.sampled_from([None, True, False, 0, -3, 7, 2.5, 1e400, "", "x",
                           "full", [], ["x"], [5], [["x"]], {}, {"zz": 1}]) \
     .map(copy.deepcopy)  # a later mutation may edit the value in place
 KEYS = st.sampled_from(["zz", "iteratons", "subjets", "k", "path", "fs"])
