@@ -185,12 +185,13 @@ def _dest(flag):
 
 def _defaults(command):
     """Every field of a ``command`` run at its default."""
+    spec = _COMMANDS[command]
     return {
         "command": command, "data": "", "seed": 0, "workers": 1, "out": "",
         "model": {"preset": "full", "overrides": {}},
         "bo": dict(_DEFAULT_BO),
         "combos": [],
-        "options": json.loads(json.dumps(_COMMANDS[command].options)),
+        "options": json.loads(json.dumps({**spec.fixed, **spec.options})),
     }
 
 
@@ -206,6 +207,7 @@ def _merge_config(args):
             raise ValueError("config file must hold one JSON object")
         payload.pop("command", None)  # the subcommand actually invoked wins
         _merge(base, _checked("", payload, known))
+        base["options"].update(spec.fixed)  # so do the options it fixes
 
     for flag, target in {**_COMMON_FLAGS, **spec.flags}.items():
         value = getattr(args, _dest(flag))
@@ -479,13 +481,16 @@ class _Flag(NamedTuple):
 class _Command:
     """One subcommand. ``flags`` maps each flag to the ``_Flag`` it sets.
     ``reads`` holds the option keys, with defaults, that this command
-    reads from another command's ``run_config.json``."""
+    reads from another command's ``run_config.json``. ``fixed`` holds the
+    options the subcommand itself stands for: they are recorded with the
+    other options, and no config file or flag changes them."""
 
     run: object
     help: str
     options: dict
     flags: dict
     reads: dict = field(default_factory=dict)
+    fixed: dict = field(default_factory=dict)
 
 
 _COMMON_FLAGS = {
@@ -560,12 +565,12 @@ _COMMANDS = {
         reads={"variants": list(ABLATION_VARIANTS)}),  # from ablate
     "ablate": _Command(
         cmd_evaluate, "evaluate every topology variant",
-        {"mode": "ablation", "variants": list(ABLATION_VARIANTS),
-         **_PROTOCOL_OPTIONS},
+        {"variants": list(ABLATION_VARIANTS), **_PROTOCOL_OPTIONS},
         {**_DATA_FLAG,
          "--variants": _Flag("options", "variants", "comma-separated "
                              f"subset of {ABLATION_VARIANTS}", "NAMES"),
-         **_PROTOCOL_FLAGS}),
+         **_PROTOCOL_FLAGS},
+        fixed={"mode": "ablation"}),
     "explain": _Command(
         cmd_explain, "export model analysis files",
         {"weights": "", "tags": list(DEFAULT_LAYER_TAGS),

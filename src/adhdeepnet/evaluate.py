@@ -23,7 +23,6 @@ from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import optimize
 from .augment import augment_training_set, enumerate_combos
@@ -110,15 +109,25 @@ def metrics(counts):
 
 
 def auc_from_scores(scores, actual):
-    """Rank-based AUC of positive-class scores; ties get half credit."""
+    """Rank-based AUC of positive-class scores; ties get half credit.
+
+    Tied scores share the average of their ranks, so every rank is an exact
+    half-integer; any NaN score makes the AUC NaN.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     actual = np.asarray(actual)
     pos = actual == POSITIVE_INDEX
     n_pos = int(pos.sum())
     n_neg = len(actual) - n_pos
-    if n_pos == 0 or n_neg == 0:
+    if n_pos == 0 or n_neg == 0 or np.isnan(scores).any():
         return float("nan")
-    ranks = rankdata(scores)
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(scores)]
+    ranks = np.empty(len(scores))
+    # a tie group at 0-based [start, end) holds ranks start+1 .. end
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

@@ -24,7 +24,6 @@ from itertools import product
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import qmc
 
 from .data import LABELS, class_index
 
@@ -123,11 +122,8 @@ class SearchSpace:
     def sobol_candidates(self, n, seed):
         """n quasi-random parameter dicts covering the whole space."""
         d = max(len(self.continuous) + len(self.categorical), 1)
-        sampler = qmc.Sobol(d=d, scramble=True, seed=seed)
-        # draw a power-of-two batch to keep the sequence balanced, then trim
-        u = sampler.random(1 << max(int(np.ceil(np.log2(max(n, 1)))), 0))[:n]
         out = []
-        for row in u:
+        for row in sobol(d, n, seed):
             params = {}
             for i, dim in enumerate(self.continuous):
                 params[dim.name] = dim.from_unit(row[i])
@@ -137,6 +133,14 @@ class SearchSpace:
                 params[dim.name] = dim.choices[k]
             out.append(params)
         return out
+
+
+def sobol(d, n, seed):
+    """n scrambled-Sobol points in [0,1)^d: the next power of two of them,
+    which keeps the sequence balanced, trimmed to n."""
+    from scipy.stats import qmc  # deferred: only tuning runs pay for it
+    sampler = qmc.Sobol(d=d, scramble=True, seed=seed)
+    return sampler.random(1 << max(n - 1, 0).bit_length())[:n]
 
 
 def default_space():
@@ -287,8 +291,9 @@ def expected_improvement(mean, std, best):
     out = np.maximum(improve, 0.0)
     ok = std > 0
     z = np.where(ok, improve / np.where(ok, std, 1.0), 0.0)
-    # scipy.stats.norm's own cdf and pdf, without its per-call argument
-    # handling (refinement calls this on one row at a time)
+    # the standard normal cdf and pdf that norm.cdf and norm.pdf compute,
+    # without their per-call argument handling (refinement calls this on
+    # one row at a time)
     pdf = np.exp(-z ** 2 / 2.0) / np.sqrt(2 * np.pi)
     ei = improve * ndtr(z) + std * pdf
     return np.where(ok, ei, out)
@@ -337,8 +342,7 @@ def propose_next(history, space, kappa=KAPPA_DEFAULT, seed=0):
 
     nc = len(space.continuous)
     if nc:
-        sampler = qmc.Sobol(d=nc, scramble=True, seed=seed)
-        cont = sampler.random(N_CANDIDATES)
+        cont = sobol(nc, N_CANDIDATES, seed)
     else:
         cont = np.zeros((1, 0))
     # one row per categorical combination; one empty row without any

@@ -125,6 +125,23 @@ def test_rerun_from_persisted_config_is_byte_identical(dataset_dir,
         == (second / "report.json").read_bytes()
 
 
+def test_ablate_replaying_an_evaluate_config_runs_ablation(dataset_dir,
+                                                          tmp_path):
+    first = tmp_path / "eval"
+    second = tmp_path / "ablate"
+    assert run_cli(*evaluate_args(dataset_dir, first, "--epochs", "1")) == 0
+    assert json.loads((first / "run_config.json").read_text()
+                      )["options"]["mode"] == "no-da"
+    assert run_cli("ablate", "--config", str(first / "run_config.json"),
+                   "--variants", "eegnet", "--out", str(second)) == 0
+    config = json.loads((second / "run_config.json").read_text())
+    assert config["command"] == "ablate"
+    assert config["options"]["mode"] == "ablation"
+    report = json.loads((second / "report.json").read_text())
+    assert report["mode"] == "ablation"
+    assert list(report["variants"]) == ["eegnet"]
+
+
 @pytest.mark.parametrize("k", ["0", "1", "-2"])
 def test_fold_count_below_two_is_user_error(dataset_dir, tmp_path, capsys,
                                             k):

@@ -116,6 +116,44 @@ def test_auc_orderings():
     assert np.isnan(auc_from_scores([0.5, 0.6], [0, 0]))
 
 
+def _rankdata_auc(scores, actual):
+    """The AUC from scipy's average ranks, as the metric was first written."""
+    from scipy.stats import rankdata
+    pos = np.asarray(actual) == 0
+    n_pos = int(pos.sum())
+    u = rankdata(scores)[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * (len(actual) - n_pos)))
+
+
+def _oracle_draws(seed, count):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(2, 200))
+        actual = rng.permutation(np.r_[0, 1, rng.integers(0, 2, n - 2)])
+        kind = i % 4
+        if kind == 0:  # continuous, ties unlikely
+            scores = rng.random(n)
+        elif kind == 1:  # heavy ties: a handful of distinct values
+            scores = rng.integers(0, 4, n) / 4.0
+        elif kind == 2:  # ties among infinities and signed zeros
+            scores = rng.choice([-np.inf, -0.0, 0.0, 0.5, np.inf], n)
+        else:  # all equal
+            scores = np.full(n, rng.normal())
+        yield scores, actual
+
+
+def test_auc_matches_rankdata_exactly():
+    for scores, actual in _oracle_draws(seed=1301, count=2000):
+        assert auc_from_scores(scores, actual) \
+            == _rankdata_auc(scores, actual), (scores, actual)
+
+
+def test_auc_of_any_nan_score_is_nan():
+    scores = [0.9, np.nan, 0.3, 0.1]
+    assert np.isnan(auc_from_scores(scores, [0, 0, 1, 1]))
+    assert np.isnan(_rankdata_auc(scores, [0, 0, 1, 1]))
+
+
 # -- report assembly ----------------------------------------------------------------
 
 

@@ -21,6 +21,7 @@ from adhdeepnet.optimize import (
     make_inner_objective,
     minimize,
     propose_next,
+    sobol,
     stratified_bipartition,
     tune,
 )
@@ -89,6 +90,12 @@ def test_duplicate_dimension_names_rejected():
         SearchSpace([Continuous("a", 0, 1), Continuous("a", 1, 2)])
     with pytest.raises(ValueError):
         SearchSpace([])
+
+
+@pytest.mark.parametrize("n,drawn", [(1, 1), (5, 8), (8, 8), (2048, 2048)])
+def test_sobol_trims_a_power_of_two_draw(n, drawn):
+    expected = qmc.Sobol(d=3, scramble=True, seed=9).random(drawn)[:n]
+    assert np.array_equal(sobol(3, n, seed=9), expected)
 
 
 def test_sobol_candidates_cover_space_deterministically():

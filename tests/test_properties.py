@@ -69,7 +69,7 @@ WRITTEN = {
 }
 # (command that wrote the file, command that replays it)
 REPLAYS = [(command, command) for command in WRITTEN] \
-    + [("ablate", "evaluate")]
+    + [("ablate", "evaluate"), ("evaluate", "ablate")]
 
 
 def _written_config(command):
@@ -119,6 +119,8 @@ def test_config_merge_keeps_known_keys_and_kinds(workdir, written, replay):
             return
         merged = json.loads(config.to_json_text())
         assert merged.pop("command") == replay
+        fixed = cli._COMMANDS[replay].fixed
+        assert {key: merged["options"][key] for key in fixed} == fixed
         _assert_known_kinds("", merged, defaults)
 
     check()
