@@ -160,7 +160,7 @@ def plan_folds(recordings, k=10, seed=0, tolerance=0.10, max_attempts=1000):
                               if r.label == label) for label in LABELS}
     if len(recordings) < k:
         raise PlanningError(
-            f"need at least {k} subjects for {k} folds, got "
+            f"k={k} folds need at least {k} subjects, got "
             f"{len(recordings)}")
     ids = [r.subject_id for r in recordings]
     if len(set(ids)) != len(ids):
@@ -379,8 +379,8 @@ def load_dataset(manifest_path):
                 f"{json.dumps(declared)}")
         if tuple(declared) != CHANNELS:
             raise IngestionError(
-                f"manifest channel order {declared} does not match the "
-                f"required order {list(CHANNELS)}")
+                f"manifest channels {declared}: the channel order does not "
+                f"match the required order {list(CHANNELS)}")
         entries = manifest.get("subjects")
     else:
         entries = manifest
@@ -407,8 +407,9 @@ def load_dataset(manifest_path):
                     f"{sid}: channel order in manifest entry does not match "
                     f"the required electrode order")
             path = manifest_path.parent / entry["path"]
-            if not path.exists():
-                raise IngestionError(f"{sid}: file not found: {path}")
+            if not path.is_file():
+                raise IngestionError(f"{sid}: path {json.dumps(entry['path'])}"
+                                     f" names no file ({path})")
             samples = _read_matrix(path)
             recordings.append(
                 EegRecording(sid, samples, entry["label"], fs=fs))

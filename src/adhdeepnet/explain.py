@@ -380,17 +380,22 @@ def layer_activations(model, trials, layer_tags=DEFAULT_LAYER_TAGS,
     arrives and is dropped before the next forward. Batches kept for a
     concatenation at the end sit in the C heap wherever the allocator put
     them, and the resident peak then varies from run to run by up to
-    75 MiB.
+    75 MiB. The matrices are allocated before the first batch, sized by a
+    one-trial forward: allocated after it, one could land on top of that
+    batch's freed temporaries, so the heap could not shrink under what
+    the caller allocates next.
     """
     _check_layer_tags(model, layer_tags)
     windows = np.stack([t.window for t in trials])[:, None, :, :]
-    rows = {}
+    capture = tuple(layer_tags)
+    _, _, probe = next(model.infer(windows[:1], 1, capture=capture))
+    rows = {tag: np.empty((len(windows), probe[tag][0].size), probe[tag].dtype)
+            for tag in layer_tags}
+    del probe
     for start, _, captured in model.infer(windows, batch_size,
-                                          capture=tuple(layer_tags)):
+                                          capture=capture):
         for tag in layer_tags:
             data = captured[tag]
-            if tag not in rows:
-                rows[tag] = np.empty((len(windows), data[0].size), data.dtype)
             rows[tag][start:start + len(data)] = data.reshape(len(data), -1)
         del captured, data  # hold no batch while the next one runs
     return rows

@@ -499,7 +499,8 @@ def tune(trials, trainer, space=None, iterations=100, seed=0,
     subjects = {t.subject_id for t in trials}
     if len(subjects) < 4:
         raise TuningError(
-            f"tuning needs at least 4 subjects, got {len(subjects)}")
+            f"tuning needs at least 4 subjects, got {len(subjects)}; an "
+            f"evaluation can skip it per fold (bo.tune false, --no-tune)")
     inner = make_inner_objective(trainer, trials, base_seed=seed)
     counter = {"t": -1}
 

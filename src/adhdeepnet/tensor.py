@@ -13,11 +13,14 @@ reverse topological order and accumulates gradients on every tensor that
 requires them. Inside ``no_grad()`` no graph is recorded at all: every op
 returns a leaf with no parents, no backward closure and
 ``requires_grad=False``, so an inference pass keeps none of the
-intermediates that only the backward pass would read.
+intermediates that only the backward pass would read. The grad-off state
+belongs to the thread that entered ``no_grad()``: another thread may train
+meanwhile.
 
-All convolutions share one primitive that correlates along time by rFFT
-and contracts channels and height taps in one einsum; one-sample-wide
-kernels skip the transform. The network's first block (temporal conv,
+All convolutions share one primitive. A one-sample-wide kernel mixes
+channels and height taps as one BLAS matrix product per channel group; a
+wider one correlates along time by rFFT, as a broadcast product with the
+kernel spectrum. The network's first block (temporal conv,
 batch norm, spatial depthwise conv) runs as one op, ``spatial_first_stem``:
 spatial contraction first, then the temporal correlation, with the batch
 statistics taken from the input's lag moments. Both reorder float sums, so
@@ -36,6 +39,7 @@ may be a read-only broadcast view.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 import struct
 import warnings
@@ -53,25 +57,25 @@ class GraphError(RuntimeError):
     """Misuse of the autodiff graph (non-scalar backward, repeated backward)."""
 
 
-_grad_enabled = True
+# per thread (and per context), so one thread's inference never stops the
+# graph of another that is training
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 
 def grad_enabled():
-    """False inside ``no_grad()``."""
-    return _grad_enabled
+    """False inside ``no_grad()``, in the thread that entered it."""
+    return _grad_enabled.get()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Record no graph inside the block (nestable; the previous state
-    returns on exit, also when the block raises)."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    """Record no graph inside the block, in this thread only (nestable; the
+    previous state returns on exit, also when the block raises)."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_enabled.reset(token)
 
 
 def _as_array(data, dtype):
@@ -102,8 +106,8 @@ class Tensor:
     @staticmethod
     def _from_op(data, parents, backward_fn):
         out = Tensor(data)
-        out.requires_grad = _grad_enabled and any(p.requires_grad
-                                                  for p in parents)
+        out.requires_grad = _grad_enabled.get() and any(
+            p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = tuple(parents)
             out._backward_fn = backward_fn
@@ -442,92 +446,86 @@ def _conv_geometry(h, w, kh, kw, padding):
     return ph, pw, ho, wo
 
 
-def _contract(a_sub, b_sub, out_sub, a, b):
-    # numpy's optimizer runs a plain matrix product on BLAS and a plain
-    # broadcast product fast, but for a sum along labels batched across both
-    # operands it copies both into matmul layout: the C loop is faster there
-    extent = dict(zip(a_sub + b_sub, a.shape + b.shape))
-    batched = set(a_sub) & set(b_sub) & set(out_sub)
-    summed = any(extent[label] > 1
-                 for label in set(a_sub + b_sub) - set(out_sub))
-    return np.einsum(f"{a_sub},{b_sub}->{out_sub}", a, b,
-                     optimize=not (batched and summed))
+def _padded_spectrum(a, ph, pw, nfft):
+    """[N,C,H,W] ``a``, padded by ``ph`` rows and ``pw[0]`` leading samples
+    into one zeroed buffer ``nfft`` long, rFFT'd without a further copy
+    (``nfft`` None: not transformed, and not copied unless padded)."""
+    n, c, h, w = a.shape
+    if any(ph) or (nfft or w) > w:
+        buf = np.zeros((n, c, h + sum(ph), nfft or w), a.dtype)
+        buf[:, :, ph[0]:ph[0] + h, pw[0]:pw[0] + w] = a
+        a = buf
+    return a if nfft is None else sfft.rfft(a, axis=-1)
 
 
-def _time_conv(x, kernel, padding, spec):
+def _squeeze_sum(a, axis):
+    return a.sum(axis=axis) if a.shape[axis] > 1 else np.squeeze(a, axis)
+
+
+def _time_conv(x, kernel, padding, groups):
     """Cross-correlation over height taps and time, shared by every conv op.
 
-    ``spec`` is the einsum for one output element. Input windows are indexed
-    (..., output row h, height tap a, time w), the kernel (..., a, w) and
-    the output (..., h, w); a full convolution is ``"nchaw,fcaw->nfhw"``.
-    The output is returned as [N, -1, H', W'].
+    The C input channels form ``groups`` groups, each mixed into its own
+    share of the outputs: conv2d is one group, a depthwise conv C groups of
+    one channel. The kernel reads as [G, F/G, C/G*kh] and the input windows
+    as [N, G, C/G*kh, H', T], a free view when kh == 1, H' == 1 or
+    C/G == 1 and an im2col copy otherwise.
 
-    Along time the correlation runs in the rFFT domain (Mathieu, Henaff &
-    LeCun, arXiv:1312.5851). The padded input is transformed at a length no
-    shorter than its padded span, so nothing wraps, contracted with the
-    conjugate kernel spectrum and transformed back. A kernel one sample
-    wide skips the transform and the same contraction runs on real data.
+    A kernel one sample wide runs as one matrix product per group over
+    rows of T = W samples. A wider one correlates along time by rFFT
+    (Mathieu, Henaff & LeCun, arXiv:1312.5851) at a length no shorter than
+    the padded span, so nothing wraps: a broadcast product with the
+    conjugate kernel spectrum at each of T frequencies, summed over a
+    group's (channel, tap) pairs only when it has more than one.
 
-    Backward recomputes the spectra rather than keeping them on the tape.
-    The kernel gradient is irfft(X conj(G)) cut to the kernel width. The
-    input gradient is irfft(G K) over the padded span, each height tap's
-    rows added in at its offset; it is computed only when x requires a
-    gradient.
+    The backward closure keeps both spectra; under ``no_grad()`` it is
+    dropped and they with it. The kernel gradient is sum X conj(G). The
+    input gradient, sum G K with each height tap's rows added in at its
+    offset, is computed only when x requires a gradient.
     """
     n, c, h, w = x.shape
     kh, kw = kernel.shape[2:]
     ph, pw, ho, wo = _conv_geometry(h, w, kh, kw, padding)
-    x_sub, k_sub, o_sub = spec.replace("->", ",").split(",")
-    if kw == 1:
-        k_sub = k_sub.replace("w", "")
-        nfft = None
+    nfft = None if kw == 1 else sfft.next_fast_len(w + sum(pw), real=True)
+    xs = _padded_spectrum(x.data, ph, pw, nfft)
+    t, ck = xs.shape[3], c // groups * kh
+    st = xs.strides
+    xw = as_strided(xs, (n, c, kh, ho, t), (*st[:3], st[2], st[3]),
+                    writeable=False).reshape(n, groups, ck, ho, t)
+    if nfft is None:
+        ks = kernel.data.reshape(groups, -1, ck)
+        xw = xw.reshape(n, groups, ck, ho * t)
+        grouped = np.matmul(ks, xw)
     else:
-        nfft = sfft.next_fast_len(w + pw[0] + pw[1], real=True)
-
-    def spectrum(a):
-        return a if nfft is None else sfft.rfft(a, n=nfft, axis=-1)
-
-    def taps():
-        return kernel.data[..., 0] if nfft is None else spectrum(kernel.data)
-
-    def x_windows():  # read-only [N, C, H', kh, time] view of the padded x
-        xp = x.data
-        if any(ph) or pw[0]:
-            # the right time padding is the zero tail the transform adds
-            xp = np.pad(xp, ((0, 0), (0, 0), ph, (pw[0], 0)))
-        xp = spectrum(xp)
-        st = xp.strides
-        return as_strided(xp, (n, c, ho, kh, xp.shape[-1]),
-                          (*st[:3], st[2], st[3]), writeable=False)
-
-    grouped = _contract(x_sub, k_sub, o_sub, x_windows(), taps().conj())
-    if nfft is not None:
-        grouped = sfft.irfft(grouped, n=nfft, axis=-1)[..., :wo]
-    grouped_shape = grouped.shape
+        ks = sfft.rfft(kernel.data, nfft).reshape(groups, -1, ck, 1, t)
+        xw = xw[:, :, None]  # [N, G, 1, C/G*kh, H', T]
+        grouped = sfft.irfft(_squeeze_sum(xw * ks.conj(), 3), nfft)[..., :wo]
     # a compact copy, so the tape holds the output, not the transform buffer
     out = np.ascontiguousarray(grouped).reshape(n, -1, ho, wo)
 
     def backward(g):
-        gs = spectrum(g.reshape(grouped_shape))
-        # sum X conj(G) = conj(sum conj(X) G); in the model the x spectrum
-        # is never the larger operand, so conjugating it copies less
-        dk = _contract(x_sub, o_sub, k_sub, x_windows().conj(), gs).conj()
         if nfft is None:
-            dk = dk[..., None]
+            gs = g.reshape(n, groups, -1, ho * t)
+            dk = np.matmul(gs, xw.swapaxes(2, 3)).sum(axis=0)
+            rows = np.matmul(ks.swapaxes(1, 2), gs) \
+                if x.requires_grad else None
         else:
-            dk = sfft.irfft(dk, n=nfft, axis=-1)[..., :kw]
-        if not x.requires_grad:
+            gs = sfft.rfft(g, nfft).reshape(n, groups, -1, 1, ho, t)
+            rows = _squeeze_sum(gs * ks, 2) if x.requires_grad else None
+            dk = (xw * np.conjugate(gs, out=gs)).sum(axis=(0, 4))
+            dk = sfft.irfft(dk, nfft)[..., :kw]
+        dk = dk.reshape(kernel.shape)
+        if rows is None:
             return None, dk
-        rows = _contract(o_sub, k_sub, x_sub, gs, taps())
+        rows = rows.reshape(n, c, kh, ho, t)
         if ho == 1 or kh == 1:  # no two taps reach the same input row
-            dxp = rows.reshape(n, c, -1, rows.shape[-1])
+            dxp = rows.reshape(n, c, -1, t)
         else:
-            dxp = np.zeros((n, c, h + ph[0] + ph[1], rows.shape[-1]),
-                           rows.dtype)
+            dxp = np.zeros((n, c, h + sum(ph), t), rows.dtype)
             for a in range(kh):
-                dxp[:, :, a:a + ho] += rows[:, :, :, a]
+                dxp[:, :, a:a + ho] += rows[:, :, a]
         if nfft is not None:
-            dxp = sfft.irfft(dxp, n=nfft, axis=-1)
+            dxp = sfft.irfft(dxp, nfft)
         return dxp[:, :, ph[0]:ph[0] + h, pw[0]:pw[0] + w], dk
 
     return Tensor._from_op(out, (x, kernel), backward)
@@ -542,7 +540,7 @@ def conv2d(x: Tensor, kernel: Tensor, padding="valid") -> Tensor:
     if ck != c:
         raise ShapeError(
             f"conv2d channel mismatch: input has {c} channels, kernel expects {ck}")
-    return _time_conv(x, kernel, padding, "nchaw,fcaw->nfhw")
+    return _time_conv(x, kernel, padding, 1)
 
 
 def depthwise_conv2d(x: Tensor, kernel: Tensor, padding="valid") -> Tensor:
@@ -560,7 +558,7 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, padding="valid") -> Tensor:
         raise ShapeError(
             f"depthwise_conv2d channel mismatch: input has {c} channels, "
             f"kernel has {ck} groups")
-    return _time_conv(x, kernel, padding, "nchaw,cdaw->ncdhw")
+    return _time_conv(x, kernel, padding, c)
 
 
 def separable_conv2d(x: Tensor, depth_kernel: Tensor, point_kernel: Tensor,

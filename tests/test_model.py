@@ -1,6 +1,9 @@
 """Model assembly: shapes, parameter counts, ablation ordering, serialization."""
 
+import sys
+import threading
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -10,7 +13,10 @@ from adhdeepnet.model import (ConfigError, ModelConfig, build_adhdeepnet,
                               build_eegnet_baseline, desk_config,
                               parameter_count, predict_segment)
 from adhdeepnet.nn import cross_entropy_loss
+from adhdeepnet import tensor as tz
 from adhdeepnet.tensor import ShapeError, Tensor, grad_enabled
+
+from conftest import assert_same_bytes
 
 
 FULL_PARAM_COUNT = 225_794  # golden: 6914 + 1168*72 + 26*72^2
@@ -103,6 +109,80 @@ def test_training_between_or_after_infer_batches_records_graphs():
         assert all(p.grad is not None for p in model.parameters())
     batches.close()  # abandoned with a batch left
     assert grad_enabled()
+
+
+def _step_gradients(model, x, y, seed):
+    """Parameter gradients of one training step on (x, y)."""
+    for p in model.parameters():
+        p.zero_grad()
+    cross_entropy_loss(model.forward(Tensor(x), training=True,
+                                     rng=np.random.default_rng(seed)),
+                       y).backward()
+    return {name: p.grad for name, p in model.named_parameters().items()}
+
+
+def test_inference_in_another_thread_leaves_training_graphs_intact():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((4, 1, 19, 512)).astype(np.float32)
+    y = Tensor(np.eye(2, dtype=np.float32)[[0, 1, 0, 1]])
+    want = _step_gradients(build_adhdeepnet(desk_config(), seed=4), x, y, 4)
+    inferring, trained = threading.Event(), threading.Event()
+    other = build_adhdeepnet(desk_config(), seed=5)
+    forward = other.forward
+
+    def paused_forward(*args, **kwargs):  # inside Model.infer's no_grad
+        inferring.set()
+        trained.wait(timeout=60)
+        return forward(*args, **kwargs)
+
+    other.forward = paused_forward
+    logits = []
+    thread = threading.Thread(target=lambda: logits.extend(
+        batch for _, batch, _ in other.infer(x, 4)))
+    thread.start()
+    try:
+        assert inferring.wait(timeout=60)
+        got = _step_gradients(build_adhdeepnet(desk_config(), seed=4), x, y,
+                              4)
+    finally:
+        trained.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert set(got) == set(want)
+    for name in want:
+        assert_same_bytes(got[name], want[name])
+    other.forward = forward
+    assert_same_bytes(logits[0], next(other.infer(x, 4))[1])
+
+
+def _nested_code(code):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _nested_code(const)
+
+
+def test_conv_kernels_call_no_einsum(monkeypatch):
+    conv_code = set(_nested_code(tz._time_conv.__code__))
+    einsum = np.einsum
+    calls = []
+
+    def guarded(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None:
+            assert frame.f_code not in conv_code, "np.einsum in _time_conv"
+            frame = frame.f_back
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", guarded)
+    model = build_adhdeepnet(desk_config(), seed=6)
+    x = np.random.default_rng(6).standard_normal(
+        (4, 1, 19, 512)).astype(np.float32)
+    y = Tensor(np.eye(2, dtype=np.float32)[[0, 1, 0, 1]])
+    _step_gradients(model, x, y, 6)
+    next(model.infer(x, 4))
+    assert calls, "the guard saw no einsum call at all"  # the stem's variance
 
 
 def test_full_model_inference_keeps_no_graph():

@@ -1,5 +1,5 @@
-"""Property checks of the two readers of user JSON: ``--config`` files and
-dataset manifests.
+"""Property checks of the two readers of user JSON, ``--config`` files and
+dataset manifests, alone and through ``cli.main``.
 
 Each example mutates a file the program itself writes: a key of one of
 its objects is given another JSON kind, dropped, or joined by an unknown
@@ -10,15 +10,19 @@ same examples.
 """
 
 import copy
+import io
 import json
+import re
+from contextlib import redirect_stderr
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adhdeepnet import cli
+from adhdeepnet import cli, evaluate
 from adhdeepnet.data import (EegRecording, IngestionError, generate_synthetic,
                              load_dataset, save_dataset)
+from adhdeepnet.model import Model
 
 VALUES = st.sampled_from([None, True, False, 0, -3, 7, 2.5, 1e400, "", "x",
                           "full", [], ["x"], [5], [["x"]], {}, {"zz": 1}]) \
@@ -39,19 +43,31 @@ def _objects(payload):
 
 
 @st.composite
-def mutated(draw, payload):
-    """``payload`` after one to three key mutations of its objects."""
+def mutations(draw, payload):
+    """``payload`` after one to three key mutations of its objects, and the
+    keys mutated: each key changed, added or dropped, and every key inside
+    the value it held."""
     payload = copy.deepcopy(payload)
+    keys = set()
     for _ in range(draw(st.integers(1, 3))):
         target = draw(st.sampled_from(list(_objects(payload))))
         action = draw(st.sampled_from(("kind", "drop", "add")))
         if action == "add" or not target:
-            target[draw(KEYS)] = draw(VALUES)
-        elif action == "drop":
-            del target[draw(st.sampled_from(sorted(target)))]
+            key = draw(KEYS)
         else:
-            target[draw(st.sampled_from(sorted(target)))] = draw(VALUES)
-    return payload
+            key = draw(st.sampled_from(sorted(target)))
+        keys.add(key)
+        keys.update(name for obj in _objects(target.get(key)) for name in obj)
+        if action == "drop" and target:
+            del target[key]
+        else:
+            target[key] = draw(VALUES)
+    return payload, keys
+
+
+def mutated(payload):
+    """``payload`` after one to three key mutations of its objects."""
+    return mutations(payload).map(lambda pair: pair[0])
 
 
 # -- --config files ----------------------------------------------------------
@@ -147,3 +163,72 @@ def test_manifest_loads_or_raises_ingestion_error(cohort, data):
     except IngestionError:
         return
     assert all(isinstance(r, EegRecording) for r in recordings)
+
+
+# -- cli.main on both --------------------------------------------------------
+
+
+class _ReachedTheWork(BaseException):
+    """Raised in place of a run's first forward pass or fold worker pool:
+    the run accepted its inputs. Not an Exception, so ``cli.main`` does not
+    turn it into an exit code."""
+
+
+def _names_a_key(message, keys):
+    """Whether ``message`` names one of ``keys``, or a word of one
+    (``final_epochs`` -> ``epochs``)."""
+    return any(re.search(rf"\b{re.escape(word)}\b", message)
+               for key in keys for word in {key, *key.split("_")})
+
+
+def _stop(*args, **kwargs):
+    raise _ReachedTheWork
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train", ("--epochs", "2")),
+    ("evaluate", ("--k", "2", "--no-tune", "--epochs", "1")),
+])
+def test_cli_exits_zero_or_one_naming_the_field(tmp_path, monkeypatch,
+                                                command, flags):
+    monkeypatch.chdir(tmp_path)  # a mutated "out" lands here
+    monkeypatch.setattr(Model, "forward", _stop)
+    monkeypatch.setattr(evaluate, "ProcessPoolExecutor", _stop)
+    manifest = save_dataset(generate_synthetic(2, 4.0, 0.8, seed=1),
+                            tmp_path / "cohort")
+    cohort = json.loads(manifest.read_text())
+    with pytest.raises(_ReachedTheWork), redirect_stderr(io.StringIO()):
+        cli.main([command, "--data", str(manifest), "--out", "written",
+                  *flags])
+    written = json.loads((tmp_path / "written" / "run_config.json")
+                         .read_text())
+
+    @settings(SETTINGS, max_examples=100)
+    @given(st.data())
+    def check(data):
+        config, entries, keys = written, cohort, set()
+        which = data.draw(st.sampled_from(("config", "manifest", "both")))
+        if which != "manifest":
+            config, changed = data.draw(mutations(written))
+            keys |= changed
+        if which != "config":
+            entries, changed = data.draw(mutations(cohort))
+            keys |= changed
+        manifest.write_text(json.dumps(entries))
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        stderr = io.StringIO()
+        try:
+            with redirect_stderr(stderr):
+                code = cli.main([command, "--config", "config.json"])
+        except _ReachedTheWork:
+            return
+        text = stderr.getvalue()
+        assert code in (0, 1), text
+        if code == 1:
+            errors = [line for line in text.splitlines()
+                      if line.startswith("error:")]
+            assert len(errors) == 1, text
+            message = text[text.index("error:"):]
+            assert _names_a_key(message, keys), (sorted(keys), message)
+
+    check()

@@ -1,10 +1,15 @@
 """Tensor ops: forward values against hand oracles, gradients against
 central finite differences (float64, h=1e-3, relative error < 1e-4)."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sfft
 
 from adhdeepnet.tensor import (GraphError, ShapeError, Tensor, avg_pool,
                                batch_norm, concat, conv2d, depthwise_conv2d,
@@ -12,6 +17,7 @@ from adhdeepnet.tensor import (GraphError, ShapeError, Tensor, avg_pool,
                                linear, load_tensors, log_softmax, matmul,
                                no_grad, relu, save_tensors, separable_conv2d,
                                sigmoid, softmax)
+from adhdeepnet.tensor import _conv_geometry, _padded_spectrum
 
 from conftest import (assert_same_bytes, avg_pool_oracle, batch_norm_oracle,
                       check_gradients, conv2d_oracle, depthwise_oracle,
@@ -298,6 +304,30 @@ MODEL_CONVS = [
     ("depthwise", (2, 288, 1, 256), (288, 1, 1, 64), "same"),  # full post_sep
     ("depthwise", (2, 32, 1, 256), (32, 1, 1, 8), "same"),    # desk kernels
     ("depthwise", (2, 32, 1, 256), (32, 1, 1, 16), "same"),
+    # the fused stem: spatial contraction, then the temporal correlation
+    ("conv2d", (2, 1, 19, 512), (128, 1, 19, 1), "valid"),    # full
+    ("depthwise", (2, 64, 2, 512), (64, 1, 1, 64), "same"),
+    ("conv2d", (2, 1, 19, 512), (16, 1, 19, 1), "valid"),     # desk, EEGNet
+    ("depthwise", (2, 8, 2, 512), (8, 1, 1, 32), "same"),     # desk
+    ("depthwise", (2, 8, 2, 512), (8, 1, 1, 64), "same"),     # EEGNet
+    ("conv2d", (2, 1, 19, 512), (8, 1, 1, 64), "same"),       # EEGNet temporal
+    ("depthwise", (2, 8, 19, 512), (8, 2, 19, 1), "valid"),   # desk spatial
+    ("conv2d", (2, 72, 1, 256), (72, 72, 1, 1), "valid"),     # full separable
+    ("conv2d", (2, 288, 1, 256), (288, 288, 1, 1), "valid"),  # full post_sep
+    ("conv2d", (2, 16, 1, 256), (8, 16, 1, 1), "valid"),      # desk pointwise
+    ("depthwise", (2, 8, 1, 256), (8, 1, 1, 8), "same"),      # desk branches
+    ("depthwise", (2, 8, 1, 256), (8, 1, 1, 16), "same"),
+    ("conv2d", (2, 8, 1, 256), (8, 8, 1, 1), "valid"),
+    ("conv2d", (2, 32, 1, 256), (32, 32, 1, 1), "valid"),     # desk post_sep
+    ("depthwise", (2, 16, 1, 128), (16, 1, 1, 16), "same"),   # EEGNet
+    ("conv2d", (2, 16, 1, 128), (16, 16, 1, 1), "valid"),
+    # general: windows copied (im2col, kh > 1 and H' > 1), padded rows, and
+    # spectra summed over several (channel, tap) pairs
+    ("conv2d", (2, 3, 7, 40), (4, 3, 3, 1), "valid"),
+    ("conv2d", (2, 3, 7, 40), (4, 3, 3, 1), "same"),
+    ("conv2d", (2, 3, 7, 40), (4, 3, 3, 5), "same"),
+    ("depthwise", (2, 3, 7, 40), (3, 2, 3, 1), "same"),
+    ("depthwise", (2, 3, 7, 40), (3, 2, 3, 5), "valid"),
 ]
 
 CONV_OPS = {"conv2d": (conv2d, conv2d_oracle),
@@ -322,6 +352,25 @@ def test_conv_matches_float64_oracle_on_model_shapes(op, x_shape, k_shape,
         assert got.shape == ref.shape
         rel = np.abs(got - ref).max() / np.abs(ref).max()
         assert rel < ORACLE_RTOL, rel
+
+
+@pytest.mark.parametrize("x_shape,kernel,padding", [
+    ((2, 64, 2, 512), (1, 64), "same"), ((2, 72, 1, 256), (1, 256), "same"),
+    ((2, 288, 1, 256), (1, 64), "same"), ((2, 8, 2, 512), (1, 32), "same"),
+    ((2, 1, 19, 512), (1, 64), "same"), ((2, 3, 7, 40), (3, 5), "same"),
+    ((2, 3, 7, 40), (3, 5), "valid"), ((2, 3, 7, 40), (3, 1), "same")])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_padded_spectrum_matches_pad_then_transform_bitwise(x_shape, kernel,
+                                                            padding, dtype):
+    # one copy into a buffer the transform's length, against np.pad and a
+    # transform that zero-fills to that length itself
+    x = np.random.default_rng(27).standard_normal(x_shape).astype(dtype)
+    ph, pw, _, _ = _conv_geometry(*x_shape[2:], *kernel, padding)
+    nfft = None if kernel[1] == 1 else \
+        sfft.next_fast_len(x_shape[3] + sum(pw), real=True)
+    padded = np.pad(x, ((0, 0), (0, 0), ph, (pw[0], 0)))
+    want = padded if nfft is None else sfft.rfft(padded, n=nfft, axis=-1)
+    assert_same_bytes(_padded_spectrum(x, ph, pw, nfft), want)
 
 
 def test_conv2d_multichannel_time_kernel_gradcheck():
@@ -821,6 +870,61 @@ def test_no_grad_nests_and_restores_after_an_exception():
     w = Tensor(np.array([2.0]), requires_grad=True)
     (w * 3.0).sum().backward()
     np.testing.assert_array_equal(w.grad, [3.0])
+
+
+def test_no_grad_holds_only_in_the_thread_that_entered_it():
+    entered, leave = threading.Event(), threading.Event()
+    seen = []
+
+    def infer():
+        with no_grad():
+            seen.append(grad_enabled())
+            entered.set()
+            leave.wait(timeout=60)
+        seen.append(grad_enabled())
+
+    thread = threading.Thread(target=infer)
+    thread.start()
+    try:
+        assert entered.wait(timeout=60)
+        assert grad_enabled()
+        w = Tensor(np.array([2.0]), requires_grad=True)
+        out = (w * 3.0).sum()
+    finally:
+        leave.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert seen == [False, True]
+    out.backward()
+    np.testing.assert_array_equal(w.grad, [3.0])
+
+
+def test_grad_state_survives_many_threads_switching_often():
+    # a module-wide flag loses this race: one thread's exit from no_grad()
+    # turns gradients back on inside another's block, or the reverse
+    failures = []
+
+    def toggle():
+        for _ in range(300):
+            with no_grad():
+                time.sleep(0)  # let another thread enter or leave its block
+                if grad_enabled():
+                    failures.append("on inside no_grad()")
+            if not grad_enabled():
+                failures.append("off outside no_grad()")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=toggle) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 # -- reductions --------------------------------------------------------------------------------
