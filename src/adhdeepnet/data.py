@@ -347,6 +347,8 @@ def _read_matrix(path):
     return raw.reshape(len(CHANNELS), -1)
 
 
+# the fields every manifest entry must have
+_ENTRY_REQUIRED = ("path", "label")
 # the JSON kind of each manifest entry field, where present
 _ENTRY_KINDS = {"subject_id": (str, "a string"), "path": (str, "a string"),
                 "label": (str, "a string"),
@@ -393,9 +395,11 @@ def load_dataset(manifest_path):
     recordings, problems = [], []
     for entry in entries:
         sid = entry.get("subject_id", "<missing id>")
-        wrong = [f"{name} must be {what}, got {json.dumps(entry[name])}"
-                 for name, (kind, what) in _ENTRY_KINDS.items()
-                 if name in entry and _wrong_kind(entry[name], kind)]
+        wrong = [f'missing field "{name}"' for name in _ENTRY_REQUIRED
+                 if name not in entry]
+        wrong += [f"{name} must be {what}, got {json.dumps(entry[name])}"
+                  for name, (kind, what) in _ENTRY_KINDS.items()
+                  if name in entry and _wrong_kind(entry[name], kind)]
         if wrong:
             owner = sid if isinstance(sid, str) else json.dumps(sid)
             problems.append(f"{owner}: " + "; ".join(wrong))
@@ -413,7 +417,7 @@ def load_dataset(manifest_path):
             samples = _read_matrix(path)
             recordings.append(
                 EegRecording(sid, samples, entry["label"], fs=fs))
-        except (IngestionError, KeyError, ValueError, OSError) as exc:
+        except (IngestionError, ValueError, OSError) as exc:
             problems.append(f"{sid}: {exc}" if not str(exc).startswith(sid)
                             else str(exc))
     if problems:

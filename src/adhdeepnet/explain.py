@@ -174,47 +174,104 @@ def _distances_from_gram(g, sq):
     return np.maximum(d2, 0.0)
 
 
-def _squared_distances(x):
-    return _distances_from_gram(x @ x.T, np.sum(x ** 2, axis=1))
-
-
 def _binary_search_neighbors(d2, perplexity, tol=1e-4, max_iter=200):
     """Per-point conditional neighbor distributions at fixed perplexity.
 
     Binary-searches each point's Gaussian precision until exp(entropy)
-    matches the target within ``tol``.
+    matches the target within ``tol``. All rows are searched together:
+    each step works on the rows that have not converged yet, and every row
+    goes through the arithmetic of a search of that row alone, so its
+    result does not depend on the other rows. Besides ``d2`` the search
+    holds three [m, m-1] arrays, then one of them and the [m, m] result.
     """
-    n = d2.shape[0]
-    p = np.zeros((n, n))
-    for i in range(n):
-        others = np.delete(d2[i], i)
-        # shifting by the row minimum keeps the normalizer >= 1, so the
-        # weights never underflow to an all-zero row (normalized
-        # probabilities and entropy are shift-invariant)
-        shifted = others - others.min()
-        beta, lo, hi = 1.0, -np.inf, np.inf
-        row = np.full_like(others, 1.0 / others.size)
-        for _ in range(max_iter):
-            w = np.exp(-shifted * beta)
-            row = w / w.sum()
-            entropy = -np.sum(row * np.log(np.maximum(row, 1e-300)))
-            perp = np.exp(entropy)
-            if abs(perp - perplexity) <= tol:
-                break
-            if perp > perplexity:
-                lo = beta
-                beta = beta * 2.0 if hi == np.inf else (beta + hi) / 2.0
-            else:
-                hi = beta
-                beta = beta / 2.0 if lo == -np.inf else (beta + lo) / 2.0
-        p[i, :i] = row[:i]
-        p[i, i + 1:] = row[i:]
+    m = d2.shape[0]
+    # row i of d2 without d2[i, i]: the diagonal sits at every (m+1)-th
+    # flat index, so it is the last column of the flat tail as [m-1, m+1]
+    flat = np.ascontiguousarray(d2, dtype=np.float64).reshape(-1)
+    neg = np.array(flat[1:].reshape(m - 1, m + 1)[:, :-1]).reshape(m, m - 1)
+    # shifting by the row minimum keeps the normalizer >= 1, so the
+    # weights never underflow to an all-zero row (normalized
+    # probabilities and entropy are shift-invariant)
+    neg -= neg.min(axis=1, keepdims=True)
+    np.negative(neg, out=neg)  # exp(-shifted * beta) takes one product
+    beta = np.ones(m)
+    lo = np.full(m, -np.inf)
+    hi = np.full(m, np.inf)
+    active = np.arange(m)
+    rows, terms = np.empty_like(neg), np.empty_like(neg)
+    for step in range(max_iter):
+        row, term = rows[:active.size], terms[:active.size]
+        # mode="clip" writes straight into out ("raise" buffers a copy)
+        np.take(neg, active, axis=0, out=row, mode="clip")
+        row *= beta[active, None]
+        np.exp(row, out=row)
+        row /= row.sum(axis=1, keepdims=True)
+        np.maximum(row, 1e-300, out=term)
+        np.log(term, out=term)
+        term *= row
+        perp = np.exp(-term.sum(axis=1))
+        done = np.abs(perp - perplexity) <= tol
+        if step == max_iter - 1:
+            done[:] = True  # out of steps: a row keeps its last value
+        # a finished row no longer needs its distances, so it replaces them
+        finished = np.flatnonzero(done)
+        neg[active[finished]] = np.take(row, finished, axis=0, mode="clip",
+                                        out=terms[:finished.size])
+        active, perp = active[~done], perp[~done]
+        if not active.size:
+            break
+        b, over = beta[active], perp > perplexity
+        lo[active] = np.where(over, b, lo[active])
+        hi[active] = np.where(over, hi[active], b)
+        beta[active] = np.where(
+            over,
+            np.where(hi[active] == np.inf, b * 2.0, (b + hi[active]) / 2.0),
+            np.where(lo[active] == -np.inf, b / 2.0, (b + lo[active]) / 2.0))
+    del rows, terms, row, term  # free both buffers before p is made
+    p = np.zeros((m, m))
+    p.reshape(-1)[1:].reshape(m - 1, m + 1)[:, :-1] = neg.reshape(m - 1, m)
     return p
 
 
-def _kl_divergence(p, q):
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+def _kl_divergence(p, num, scratch):
+    """KL(P || Q) for a P without zeros and Q the kernel ``num`` normalized
+    and clamped at 1e-12; ``scratch`` is an [m, m] buffer it overwrites."""
+    q = np.divide(num, num.sum(), out=scratch)
+    np.maximum(q, 1e-12, out=q)
+    terms = np.divide(p, q, out=q)
+    np.log(terms, out=terms)
+    terms *= p
+    return float(terms.sum())
+
+
+def _tsne_kernel(y, num, scratch):
+    """Student-t kernel 1 / (1 + |y_i - y_j|^2) of [m, 2] points, into num.
+
+    Built from coordinate differences, so it is exactly symmetric ((a-b)^2
+    and (b-a)^2 are the same float) and needs no clamp; the diagonal is
+    zero. ``scratch`` is an [m, m] buffer it overwrites. Returns num.
+    """
+    np.subtract(y[:, 0, None], y[None, :, 0], out=num)
+    np.square(num, out=num)
+    np.subtract(y[:, 1, None], y[None, :, 1], out=scratch)
+    np.square(scratch, out=scratch)
+    num += scratch
+    num += 1.0
+    np.divide(1.0, num, out=num)
+    np.fill_diagonal(num, 0.0)
+    return num
+
+
+def _tsne_gradient(p, y, num, scratch):
+    """KL gradient 4 sum_j (p_ij - q_ij) num_ij (y_i - y_j) at kernel num.
+
+    q is num normalized to sum 1; ``scratch`` is an [m, m] buffer it
+    overwrites. Returns the [m, 2] gradient.
+    """
+    pq = np.divide(num, -num.sum(), out=scratch)
+    pq += p
+    pq *= num
+    return 4.0 * (pq.sum(axis=1)[:, None] * y - pq @ y)
 
 
 def _check_tsne_arguments(perplexity, iterations):
@@ -315,9 +372,11 @@ def tsne(activations, perplexity=30.0, iterations=1000, labels=None,
     rows; activation rows must be finite. Deterministic, so it takes no
     seed: initialization is the top-2 PCA projection scaled to std 1e-4
     (no jitter), each component signed so that its largest-magnitude entry
-    is positive. The returned embedding carries the KL trace; the final KL
-    is always checked against the plain (non-exaggerated) similarity
-    matrix.
+    is positive. Each descent step computes the Student-t kernel of the
+    points once (``_tsne_kernel``), from coordinate differences into one
+    of two reused [m, m] buffers, and the gradient (``_tsne_gradient``)
+    from it. The returned embedding carries the KL trace; the final KL is
+    always checked against the plain (non-exaggerated) similarity matrix.
     """
     _check_tsne_arguments(perplexity, iterations)
     _, inverse, p, y = _tsne_setup(activations, perplexity)
@@ -325,22 +384,16 @@ def tsne(activations, perplexity=30.0, iterations=1000, labels=None,
     lr = max(m / 12.0, 50.0)
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
-
-    def q_matrix(y):
-        num = 1.0 / (1.0 + _squared_distances(y))
-        np.fill_diagonal(num, 0.0)
-        q = num / num.sum()
-        return np.maximum(q, 1e-12), num
-
-    q, _ = q_matrix(y)
-    initial_kl = _kl_divergence(p, q)
+    num, scratch = np.empty((m, m)), np.empty((m, m))
+    _tsne_kernel(y, num, scratch)
+    initial_kl = _kl_divergence(p, num, scratch)
     kl_trace = [initial_kl]
 
+    p_eff = p * exaggeration
     for it in range(iterations):
-        p_eff = p * exaggeration if it < exaggeration_iters else p
-        q, num = q_matrix(y)
-        pq = (p_eff - q) * num
-        grad = 4.0 * (pq.sum(axis=1)[:, None] * y - pq @ y)
+        if it == exaggeration_iters:
+            p_eff = p
+        grad = _tsne_gradient(p_eff, y, num, scratch)
         momentum = 0.5 if it < exaggeration_iters else 0.8
         flips = np.sign(grad) != np.sign(velocity)
         gains = np.where(flips, gains + 0.2, gains * 0.8)
@@ -348,12 +401,12 @@ def tsne(activations, perplexity=30.0, iterations=1000, labels=None,
         velocity = momentum * velocity - lr * gains * grad
         y = y + velocity
         y = y - y.mean(axis=0)
+        # the kernel at the new points serves the trace and the next step
+        _tsne_kernel(y, num, scratch)
         if (it + 1) % 50 == 0:
-            q, _ = q_matrix(y)
-            kl_trace.append(_kl_divergence(p, q))
+            kl_trace.append(_kl_divergence(p, num, scratch))
 
-    q, _ = q_matrix(y)
-    final_kl = _kl_divergence(p, q)
+    final_kl = _kl_divergence(p, num, scratch)
     kl_trace.append(final_kl)
     points = y[inverse]
     return Embedding2D(points=points, labels=list(labels) if labels is not None

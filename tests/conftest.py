@@ -249,6 +249,48 @@ def dropout_oracle(x, rate, training, rng):
     return Tensor._from_op(out, (x,), backward)
 
 
+def squared_distances_oracle(x):
+    """Pairwise squared distances of the rows of x, from their differences.
+
+    Exactly symmetric with a zero diagonal: (a-b)^2 and (b-a)^2 are the
+    same float, summed over the same columns in the same order.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    return ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
+
+
+def binary_search_oracle(d2, perplexity, tol=1e-4, max_iter=200):
+    """Per-row perplexity search, one row at a time.
+
+    Each row's Gaussian precision starts at 1 and doubles, halves or
+    bisects until exp(entropy) of the row is within ``tol`` of the target,
+    or ``max_iter`` steps are spent (the row then keeps its last value).
+    The rows are shifted by their minimum first.
+    """
+    n = d2.shape[0]
+    p = np.zeros((n, n))
+    for i in range(n):
+        others = np.delete(d2[i], i)
+        shifted = others - others.min()
+        beta, lo, hi = 1.0, -np.inf, np.inf
+        for _ in range(max_iter):
+            w = np.exp(-shifted * beta)
+            row = w / w.sum()
+            entropy = -np.sum(row * np.log(np.maximum(row, 1e-300)))
+            perp = np.exp(entropy)
+            if abs(perp - perplexity) <= tol:
+                break
+            if perp > perplexity:
+                lo = beta
+                beta = beta * 2.0 if hi == np.inf else (beta + hi) / 2.0
+            else:
+                hi = beta
+                beta = beta / 2.0 if lo == -np.inf else (beta + lo) / 2.0
+        p[i, :i] = row[:i]
+        p[i, i + 1:] = row[i:]
+    return p
+
+
 def tsne_setup_oracle(x, perplexity):
     """Float64 reference for the exact t-SNE set-up, row-width passes only.
 
@@ -257,14 +299,11 @@ def tsne_setup_oracle(x, perplexity):
     and the PCA initialization from a thin SVD of the centred rows, scaled
     to std 1e-4. Returns (unique rows, inverse, joint P, init).
     """
-    from adhdeepnet.explain import _binary_search_neighbors, \
-        _squared_distances
-
     x = np.asarray(x, dtype=np.float64)
     unique, inverse = np.unique(x, axis=0, return_inverse=True)
     m = unique.shape[0]
     perp = min(float(perplexity), max(2.0, (m - 1) / 3.0))
-    cond = _binary_search_neighbors(_squared_distances(unique), perp)
+    cond = binary_search_oracle(squared_distances_oracle(unique), perp)
     p = np.maximum((cond + cond.T) / (2.0 * m), 1e-12)
     centered = unique - unique.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
@@ -272,6 +311,28 @@ def tsne_setup_oracle(x, perplexity):
     std = y.std(axis=0)
     std[std == 0] = 1.0
     return unique, inverse.reshape(-1), p, y / std * 1e-4
+
+
+def tsne_descent_oracle(p, y):
+    """Float64 double loop over point pairs for one t-SNE descent step.
+
+    Returns the Student-t kernel num_ij = 1 / (1 + |y_i - y_j|^2) (zero on
+    the diagonal), Q = num / sum(num), and the gradient of KL(P || Q),
+    4 sum_j (p_ij - q_ij) num_ij (y_i - y_j).
+    """
+    p, y = np.asarray(p, np.float64), np.asarray(y, np.float64)
+    m = y.shape[0]
+    num = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                num[i, j] = 1.0 / (1.0 + np.sum((y[i] - y[j]) ** 2))
+    q = num / num.sum()
+    grad = np.zeros_like(y)
+    for i in range(m):
+        for j in range(m):
+            grad[i] += 4.0 * (p[i, j] - q[i, j]) * num[i, j] * (y[i] - y[j])
+    return num, q, grad
 
 
 def split_encoded_oracle(space, x):

@@ -535,6 +535,13 @@ def _first_entry(**fields):
     return mutate
 
 
+def _drop_first_entry_field(name):
+    def mutate(manifest):
+        del manifest["subjects"][0][name]
+        return manifest
+    return mutate
+
+
 NOT_A_SUBJECT_LIST = ("{path}: the manifest must be a list of subject objects,"
                       ' or an object whose "subjects" holds that list')
 # one bad entry: the count line, then the entry's problem indented under it
@@ -561,10 +568,15 @@ ONE_FAILED = "1 of {count} subjects failed to load:\n  "
      ONE_FAILED + "5: subject_id must be a string, got 5"),
     (_first_entry(subject_id=[1]),
      ONE_FAILED + "[1]: subject_id must be a string, got [1]"),
+    (_drop_first_entry_field("path"),
+     ONE_FAILED + '{sid}: missing field "path"'),
+    (_drop_first_entry_field("label"),
+     ONE_FAILED + '{sid}: missing field "label"'),
 ], ids=["object-without-subjects", "subjects-string", "list-of-strings",
         "channels-number", "path-number", "entry-channels-number", "fs-list",
         "fs-infinite", "fs-fraction", "subject-id-number-missing-file",
-        "subject-id-number", "subject-id-list"])
+        "subject-id-number", "subject-id-list", "path-missing",
+        "label-missing"])
 def test_malformed_manifest_is_user_error(dataset_dir, tmp_path, capsys,
                                           mutate, message):
     path = dataset_dir / "manifest.json"

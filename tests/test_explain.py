@@ -1,5 +1,6 @@
 """Filter spectra, spatial maps, exact t-SNE, and the analysis exporters."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from scipy.cluster.vq import kmeans2
 from scipy.signal import firwin
 
-from conftest import assert_same_bytes, tsne_setup_oracle
+from conftest import assert_same_bytes, binary_search_oracle, \
+    squared_distances_oracle, tsne_descent_oracle, tsne_setup_oracle
 from adhdeepnet.data import FS, CHANNELS, Trial, generate_synthetic, \
     segment_all
 from adhdeepnet.explain import (
@@ -21,7 +23,9 @@ from adhdeepnet.explain import (
     spatial_maps,
     tsne,
     _binary_search_neighbors,
-    _squared_distances,
+    _distances_from_gram,
+    _tsne_gradient,
+    _tsne_kernel,
     _tsne_setup,
 )
 from adhdeepnet.model import ModelConfig, build_adhdeepnet
@@ -209,12 +213,94 @@ def two_clusters(n_per=100, d=10, gap=8.0, seed=0):
 def test_perplexity_binary_search_hits_target():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(100, 5))
-    cond = _binary_search_neighbors(_squared_distances(x), 20.0)
+    cond = _binary_search_neighbors(squared_distances_oracle(x), 20.0)
     for i in range(100):
         row = cond[i][cond[i] > 0]
         assert cond[i, i] == 0.0
         entropy = -np.sum(row * np.log(row))
         assert abs(np.exp(entropy) - 20.0) <= 1.1e-4
+
+
+def search_cohorts():
+    """(name, rows, perplexity, max_iter) cases for the perplexity search."""
+    rng = np.random.default_rng(11)
+    for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+        for m, d in ((3, 4), (17, 3), (64, 20), (150, 8)):
+            x = rng.normal(size=(m, d)) * scale
+            perp = min(30.0, max(2.0, (m - 1) / 3.0))
+            yield f"gauss-{m}x{d}-{scale:g}", x, perp, 200
+    # integer grid points: many rows share the same distances exactly
+    x = rng.integers(0, 3, size=(80, 3)).astype(np.float64)
+    yield "duplicate-distances", x, 20.0, 200
+    x = rng.normal(size=(40, 5))
+    x[5] = x[4]
+    x[6] = x[4]
+    yield "duplicate-rows", x, 10.0, 200
+    yield "few-steps", rng.normal(size=(50, 6)), 12.0, 3
+    # one point far out: its row needs many halvings from beta = 1
+    x = rng.normal(size=(30, 4))
+    x[0] += 1e3
+    yield "outlier", x, 8.0, 200
+    # equidistant points: a row's perplexity is m - 1 = 2 at any precision,
+    # so no row reaches 1.5 and each spends every step
+    yield "equidistant-3", np.eye(3), 1.5, 200
+    # the origin row is 1 from every unit vector, so it stays at
+    # perplexity 19 and runs out of steps while the other rows converge
+    yield "one-row-out-of-steps", np.vstack([np.zeros(19), np.eye(19)]), \
+        10.0, 200
+
+
+@pytest.mark.parametrize("name,x,perplexity,max_iter",
+                         list(search_cohorts()),
+                         ids=[c[0] for c in search_cohorts()])
+def test_perplexity_search_is_bitwise_the_per_row_oracle(name, x, perplexity,
+                                                         max_iter):
+    for d2 in (squared_distances_oracle(x),
+               _distances_from_gram(x @ x.T, np.sum(x ** 2, axis=1))):
+        cond = _binary_search_neighbors(d2, perplexity, max_iter=max_iter)
+        assert_same_bytes(
+            cond, binary_search_oracle(d2, perplexity, max_iter=max_iter))
+    if name in ("equidistant-3", "one-row-out-of-steps"):
+        # a row out of steps keeps its last value: uniform over the others
+        m = len(x)
+        assert np.array_equal(cond[0], np.r_[0.0, np.full(m - 1, 1 / (m - 1))])
+
+
+def test_perplexity_search_memory_stays_within_four_square_arrays():
+    """The descent holds four [m, m] float64 arrays (P, the exaggerated P,
+    the kernel and a scratch buffer); the search must not need more."""
+    m = 1000
+    x = np.random.default_rng(13).normal(size=(m, 10))
+    d2 = _distances_from_gram(x @ x.T, np.sum(x ** 2, axis=1))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cond = _binary_search_neighbors(d2, 30.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cond.shape == (m, m)
+    assert peak <= 4 * m * m * 8, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 30.0])
+def test_tsne_kernel_and_gradient_match_double_loop_oracle(scale):
+    x, _ = two_clusters(n_per=20, d=6, seed=4)
+    _, _, p, _ = _tsne_setup(x, 8.0)
+    m = p.shape[0]
+    y = np.random.default_rng(5).normal(size=(m, 2)) * scale
+    y -= y.mean(axis=0)
+    want_num = tsne_descent_oracle(p, y)[0]
+    num, scratch = np.empty((m, m)), np.empty((m, m))
+    assert _tsne_kernel(y, num, scratch) is num
+    assert np.array_equal(num, num.T)  # exactly symmetric
+    assert_same_bytes(np.diag(num), np.zeros(m))  # +0.0 on the diagonal
+    assert np.abs(num - want_num).max() <= 1e-12 * want_num.max()
+    for p_eff in (p, p * 12.0):
+        want_grad = tsne_descent_oracle(p_eff, y)[2]
+        grad = _tsne_gradient(p_eff, y, num, scratch)
+        assert np.abs(grad - want_grad).max() <= \
+            1e-12 * np.abs(want_grad).max()
 
 
 def test_tsne_recovers_two_clusters():
