@@ -348,7 +348,7 @@ def _read_matrix(path):
 
 
 # the fields every manifest entry must have
-_ENTRY_REQUIRED = ("path", "label")
+_ENTRY_REQUIRED = ("subject_id", "path", "label")
 # the JSON kind of each manifest entry field, where present
 _ENTRY_KINDS = {"subject_id": (str, "a string"), "path": (str, "a string"),
                 "label": (str, "a string"),
@@ -368,7 +368,8 @@ def load_dataset(manifest_path):
     """Load and validate recordings listed in a JSON manifest.
 
     Per-file problems are collected and reported together rather than
-    failing on the first bad file.
+    failing on the first bad file. A problem names its entry by
+    ``subject_id``, or by position from 1 (``entry 2``) when it has none.
     """
     manifest_path = Path(manifest_path)
     with open(manifest_path, encoding="utf-8") as fh:
@@ -393,8 +394,8 @@ def load_dataset(manifest_path):
             f"objects, or an object whose \"subjects\" holds that list")
 
     recordings, problems = [], []
-    for entry in entries:
-        sid = entry.get("subject_id", "<missing id>")
+    for position, entry in enumerate(entries, start=1):
+        sid = entry.get("subject_id", f"entry {position}")
         wrong = [f'missing field "{name}"' for name in _ENTRY_REQUIRED
                  if name not in entry]
         wrong += [f"{name} must be {what}, got {json.dumps(entry[name])}"

@@ -10,6 +10,13 @@ encoded candidate matrix: every scrambled-Sobol continuous point paired
 with every categorical combination, continuous-major. The best few rows
 then get a local refinement of their continuous coordinates.
 
+The scrambled Sobol points are built here with numpy (`sobol`): Joe &
+Kuo's direction numbers for up to 32 dimensions, a linear matrix scramble
+(LMS) plus a digital shift, and the points in Gray-code order, 30 bits per
+coordinate. They equal scipy 1.17's ``qmc.Sobol`` points bit for bit (a
+test compares them), so tuning outputs no longer depend on the installed
+scipy's Sobol code, and no command imports ``scipy.stats``.
+
 Note the acquisition SUBTRACTS kappa*sigma, penalizing uncertainty: the
 search leans toward exploitation.
 """
@@ -135,12 +142,84 @@ class SearchSpace:
         return out
 
 
+# Joe & Kuo's primitive polynomials and initial direction numbers for the
+# first 32 dimensions (the rows of their new-joe-kuo-6.21201 table that
+# scipy ships); dimension 0 is the van der Corput sequence and needs none
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37, 41, 47, 55, 59, 61, 67, 91, 97,
+               103, 109, 115, 131, 137, 143, 145, 157, 167, 171, 185, 191,
+               193, 203, 211, 213)
+_SOBOL_VINIT = (
+    (), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13),
+    (1, 1, 5, 5, 17), (1, 1, 5, 5, 5), (1, 1, 7, 11, 19), (1, 1, 5, 1, 1),
+    (1, 1, 1, 3, 11), (1, 3, 5, 5, 31), (1, 3, 3, 9, 7, 49),
+    (1, 1, 1, 15, 21, 21), (1, 3, 1, 13, 27, 49), (1, 1, 1, 15, 7, 5),
+    (1, 3, 1, 15, 13, 25), (1, 1, 5, 5, 19, 61), (1, 3, 7, 11, 23, 15, 103),
+    (1, 3, 7, 13, 13, 15, 69), (1, 1, 3, 13, 7, 35, 63),
+    (1, 3, 5, 9, 1, 25, 53), (1, 3, 1, 13, 9, 35, 107),
+    (1, 3, 1, 5, 27, 61, 31), (1, 1, 5, 11, 19, 41, 61),
+    (1, 3, 5, 3, 3, 13, 69), (1, 1, 7, 13, 1, 19, 1),
+    (1, 3, 7, 5, 13, 19, 59), (1, 1, 3, 9, 25, 29, 41),
+    (1, 3, 5, 13, 23, 1, 55), (1, 3, 7, 3, 13, 59, 17))
+_SOBOL_BITS = 30      # binary digits per coordinate
+_SOBOL_MAX_DIM = len(_SOBOL_POLY)
+
+
+def _sobol_directions(d):
+    """(d, _SOBOL_BITS) uint32 direction numbers, digit j of the sequence
+    in column j and its first binary digit in bit _SOBOL_BITS - 1: each
+    row follows its polynomial's recurrence from its initial numbers."""
+    rows = [[1] * _SOBOL_BITS]
+    for poly, init in zip(_SOBOL_POLY[1:d], _SOBOL_VINIT[1:d]):
+        m = len(init)
+        row = list(init)
+        for j in range(m, _SOBOL_BITS):
+            new = row[j - m]
+            for i in range(1, m + 1):
+                if poly >> (m - i) & 1:
+                    new ^= row[j - i] << i
+            row.append(new)
+        rows.append(row)
+    msb = np.arange(_SOBOL_BITS - 1, -1, -1)
+    return (np.array(rows, dtype=np.int64) << msb).astype(np.uint32)
+
+
 def sobol(d, n, seed):
-    """n scrambled-Sobol points in [0,1)^d: the next power of two of them,
-    which keeps the sequence balanced, trimmed to n."""
-    from scipy.stats import qmc  # deferred: only tuning runs pay for it
-    sampler = qmc.Sobol(d=d, scramble=True, seed=seed)
-    return sampler.random(1 << max(n - 1, 0).bit_length())[:n]
+    """The first n points of a scrambled Sobol sequence in [0,1)^d.
+
+    Joe & Kuo's direction numbers (SIAM J. Sci. Comput. 30, 2008), given
+    Matousek's linear matrix scramble and a digital shift (J. Complexity
+    14, 1998), both drawn from ``np.random.default_rng(seed)``: first the
+    (d, 30) shift bits, then the (d, 30, 30) lower-triangular matrices,
+    whose diagonals are set to 1. Point k is the shift XORed with the
+    scrambled directions picked by the bits of its Gray code k ^ (k >> 1),
+    as a 30-bit integer times 2**-30. The rows equal, bit for bit,
+    ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed).random(m)[:n]``
+    for any power of two m >= n (scipy 1.17, tested), but the installed
+    scipy plays no part. d is at most 32.
+    """
+    if not 1 <= d <= _SOBOL_MAX_DIM:
+        raise ValueError(f"sobol supports 1 to {_SOBOL_MAX_DIM} "
+                         f"dimensions, got d={d}")
+    rng = np.random.default_rng(seed)
+    shift_bits = rng.integers(0, 2, size=(d, _SOBOL_BITS), dtype=np.uint32)
+    ltm = np.tril(rng.integers(0, 2, size=(d, _SOBOL_BITS, _SOBOL_BITS),
+                               dtype=np.uint32))
+    diag = np.arange(_SOBOL_BITS)
+    ltm[:, diag, diag] = 1
+    shift = (shift_bits << diag.astype(np.uint32)).sum(axis=1,
+                                                      dtype=np.uint32)
+    # LMS: each direction's binary digits, first digit first, times the
+    # dimension's lower-triangular matrix over GF(2)
+    msb = np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)[:, None]
+    digits = _sobol_directions(d)[:, None, :] >> msb & 1
+    scrambled = ((ltm @ digits & 1) << msb).sum(axis=1, dtype=np.uint32)
+    gray = np.arange(n, dtype=np.uint32)
+    gray ^= gray >> 1
+    width = max(n - 1, 0).bit_length()  # Gray-code bits any point uses
+    picked = (gray[:, None] >> np.arange(width, dtype=np.uint32) & 1) == 1
+    points = np.bitwise_xor.reduce(
+        np.where(picked[:, :, None], scrambled.T[None, :width], 0), axis=1)
+    return (points ^ shift) * 2.0 ** -_SOBOL_BITS
 
 
 def default_space():

@@ -535,9 +535,10 @@ def _first_entry(**fields):
     return mutate
 
 
-def _drop_first_entry_field(name):
+def _drop_field(name, entries=1):
     def mutate(manifest):
-        del manifest["subjects"][0][name]
+        for entry in manifest["subjects"][:entries]:
+            del entry[name]
         return manifest
     return mutate
 
@@ -568,15 +569,18 @@ ONE_FAILED = "1 of {count} subjects failed to load:\n  "
      ONE_FAILED + "5: subject_id must be a string, got 5"),
     (_first_entry(subject_id=[1]),
      ONE_FAILED + "[1]: subject_id must be a string, got [1]"),
-    (_drop_first_entry_field("path"),
-     ONE_FAILED + '{sid}: missing field "path"'),
-    (_drop_first_entry_field("label"),
-     ONE_FAILED + '{sid}: missing field "label"'),
+    (_drop_field("path"), ONE_FAILED + '{sid}: missing field "path"'),
+    (_drop_field("label"), ONE_FAILED + '{sid}: missing field "label"'),
+    # an entry without an id is named by its position, counted from 1
+    (_drop_field("subject_id", entries=2),
+     '2 of {count} subjects failed to load:\n'
+     '  entry 1: missing field "subject_id"\n'
+     '  entry 2: missing field "subject_id"'),
 ], ids=["object-without-subjects", "subjects-string", "list-of-strings",
         "channels-number", "path-number", "entry-channels-number", "fs-list",
         "fs-infinite", "fs-fraction", "subject-id-number-missing-file",
         "subject-id-number", "subject-id-list", "path-missing",
-        "label-missing"])
+        "label-missing", "two-subject-ids-missing"])
 def test_malformed_manifest_is_user_error(dataset_dir, tmp_path, capsys,
                                           mutate, message):
     path = dataset_dir / "manifest.json"

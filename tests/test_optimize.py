@@ -98,6 +98,25 @@ def test_sobol_trims_a_power_of_two_draw(n, drawn):
     assert np.array_equal(sobol(3, n, seed=9), expected)
 
 
+# the tuner's seeds: minimize's own, and propose_next's seed * 100003 + t
+SOBOL_SEEDS = (0, 9, *(seed * 100003 + t for seed in (0, 7) for t in (1, 4)))
+
+
+@pytest.mark.parametrize("d", range(1, 33))
+def test_sobol_matches_scipy_bitwise(d):
+    for n in (1, 5, 8, 2048):
+        drawn = 1 << max(n - 1, 0).bit_length()
+        for seed in SOBOL_SEEDS:
+            expected = qmc.Sobol(d=d, scramble=True,
+                                 seed=seed).random(drawn)[:n]
+            assert np.array_equal(sobol(d, n, seed), expected), (n, seed)
+
+
+def test_sobol_rejects_more_than_32_dimensions():
+    with pytest.raises(ValueError, match="32 dimensions"):
+        sobol(33, 8, seed=0)
+
+
 def test_sobol_candidates_cover_space_deterministically():
     space = default_space()
     first = space.sobol_candidates(10, seed=4)

@@ -1,5 +1,7 @@
-"""What a command pays for before it does any work: ``scipy.stats`` is
-imported only by a run that tunes.
+"""What a command pays for before it does any work: no command, ``tune``
+included, loads a scipy subpackage beyond those ``import adhdeepnet.cli``
+loads (``scipy.fft``, ``scipy.special`` and what they import), so none
+imports ``scipy.stats``.
 
 The commands run in a fresh interpreter, since the test session itself has
 long since imported ``scipy.stats``.
@@ -21,7 +23,9 @@ out = Path(sys.argv[1])
 seen = []
 
 def loaded(step):
-    seen.append([step, "scipy.stats" in sys.modules])
+    seen.append([step, sorted({".".join(name.split(".")[:2])
+                               for name in sys.modules
+                               if name.startswith("scipy.")})])
 
 loaded("import")
 from adhdeepnet import cli
@@ -43,6 +47,8 @@ runs = {
                 "--iterations", "20"],
     "tune": [*data, *tiny, "--iterations", "2", "--seed-points", "2",
              "--inner-epochs", "1"],
+    "ablate": [*data, *tiny, "--k", "2", "--variants", "full", "--no-tune",
+               "--epochs", "1", "--batch-size", "8"],
 }
 for command, argv in runs.items():
     target = out / ("data" if command == "synth" else command)
@@ -53,7 +59,7 @@ print(json.dumps(seen))
 """
 
 
-def test_only_tuning_imports_scipy_stats(tmp_path):
+def test_no_command_loads_scipy_beyond_the_cli_import(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -62,6 +68,11 @@ def test_only_tuning_imports_scipy_stats(tmp_path):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = dict(json.loads(proc.stdout.strip().splitlines()[-1]))
-    assert seen == {"import": False, "import adhdeepnet.cli": False,
-                    "synth": False, "train": False, "evaluate": False,
-                    "explain": False, "tune": True}
+    assert list(seen) == ["import", "import adhdeepnet.cli", "synth",
+                          "train", "evaluate", "explain", "tune", "ablate"]
+    assert seen["import"] == []
+    cli_import = set(seen["import adhdeepnet.cli"])
+    assert {"scipy.fft", "scipy.special"} <= cli_import
+    for step, subpackages in seen.items():
+        assert "scipy.stats" not in subpackages, step
+        assert set(subpackages) <= cli_import, (step, subpackages)
