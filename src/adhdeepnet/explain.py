@@ -288,12 +288,17 @@ def _distinct_rows(x):
     and, for every row, the position of its group among them. Sorting a
     void view puts byte-equal rows next to each other without copying
     them (``np.unique`` on the view would copy every row three times).
+    Neighbours are compared through an unsigned-integer view of the same
+    item size, row view against row view, so no row is copied and NaNs
+    compare by their bits.
     """
     rows = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1])))
     rows = rows.ravel()
     order = np.argsort(rows, kind="stable")
+    bits = x.view(np.dtype(f"u{x.dtype.itemsize}"))
     fresh = np.ones(order.size, dtype=bool)
-    fresh[1:] = [rows[a] != rows[b] for a, b in zip(order[1:], order[:-1])]
+    fresh[1:] = [not np.array_equal(bits[a], bits[b])
+                 for a, b in zip(order[1:], order[:-1])]
     # a stable sort starts each run of equal rows at its first occurrence
     first = np.empty_like(order)
     first[order] = order[fresh][np.cumsum(fresh) - 1]

@@ -9,8 +9,13 @@ finite-difference checks); reductions accumulate in float64.
 The computation graph is rebuilt on every forward pass (define-by-run):
 each op returns a new Tensor holding a backward closure plus references to
 its parents. ``backward()`` on a scalar tensor walks the graph once in
-reverse topological order and accumulates gradients on every tensor that
-requires them. Inside ``no_grad()`` no graph is recorded at all: every op
+reverse topological order and accumulates gradients on the leaves that
+require them (parameters and inputs); intermediate tensors keep no
+``grad``. The walk releases the graph as it goes: each node drops its
+parents and its backward closure, with the arrays the closure saved, as
+soon as it has passed its gradient on, so a training step's activations
+are freed during its backward pass, and a walked graph cannot be walked
+again. Inside ``no_grad()`` no graph is recorded at all: every op
 returns a leaf with no parents, no backward closure and
 ``requires_grad=False``, so an inference pass keeps none of the
 intermediates that only the backward pass would read. The grad-off state
@@ -54,7 +59,8 @@ class ShapeError(ValueError):
 
 
 class GraphError(RuntimeError):
-    """Misuse of the autodiff graph (non-scalar backward, repeated backward)."""
+    """Misuse of the autodiff graph (non-scalar backward, a backward over a
+    graph that an earlier backward released)."""
 
 
 # per thread (and per context), so one thread's inference never stops the
@@ -90,8 +96,7 @@ def _as_array(data, dtype):
 class Tensor:
     """An n-d float array, an optional gradient, and a place in the graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
-                 "_backward_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = _as_array(data, dtype)
@@ -99,7 +104,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward_fn = None
-        self._backward_done = False
 
     # -- construction of graph nodes -------------------------------------
 
@@ -136,7 +140,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-        self._backward_done = False
 
     # -- operator sugar -----------------------------------------------------
 
@@ -179,20 +182,21 @@ class Tensor:
     # -- backward ------------------------------------------------------------
 
     def backward(self):
-        """Populate ``grad`` on every requires_grad tensor reachable from here.
+        """Accumulate ``grad`` on every leaf reachable from here.
 
-        The tensor must be scalar. A second call on the same graph without
-        resetting (``zero_grad`` on the loss) raises.
+        The tensor must be scalar. Leaves are the tensors without a backward
+        function, such as parameters; intermediate tensors and the root get
+        no ``grad``. The walk releases the graph as it goes: once a node has
+        passed its gradient on, it drops its parents and its backward
+        closure with the arrays that closure saved. A second backward over
+        any node of a walked graph raises ``GraphError``; the forward pass
+        must be run again.
         """
         if self.size != 1:
             raise GraphError(
                 f"backward() requires a scalar tensor, got shape {self.shape}")
         if not self.requires_grad:
             raise GraphError("backward() on a tensor with no graph attached")
-        if self._backward_done:
-            raise GraphError("backward() called twice on the same graph; "
-                             "reset with zero_grad() and rebuild the forward pass")
-        self._backward_done = True
 
         order = []
         seen = set()
@@ -204,6 +208,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward_fn is _released:
+                _released()  # raises before any gradient moves
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -211,18 +217,19 @@ class Tensor:
                     stack.append((p, False))
 
         grads = {id(self): np.ones_like(self.data)}
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node.grad is None:
-                node.grad = g.copy() if node._backward_fn is None else g
-            else:
-                node.grad = node.grad + g
             if node._backward_fn is None:
+                if g is not None:
+                    node.grad = g.copy() if node.grad is None \
+                        else node.grad + g
                 continue
-            parent_grads = node._backward_fn(g)
-            for parent, pg in zip(node._parents, parent_grads):
+            parents = node._parents
+            parent_grads = () if g is None else node._backward_fn(g)
+            node._parents = ()
+            node._backward_fn = _released
+            for parent, pg in zip(parents, parent_grads):
                 if pg is None or not parent.requires_grad:
                     continue
                 pg = pg.astype(parent.data.dtype, copy=False)
@@ -231,6 +238,12 @@ class Tensor:
                     grads[key] = grads[key] + pg
                 else:
                     grads[key] = pg
+
+
+def _released(*_):
+    """The backward function of a node that a backward walk has passed."""
+    raise GraphError("backward() reached a graph that an earlier backward() "
+                     "released; run the forward pass again")
 
 
 def _ensure_tensor(value, dtype):
@@ -646,15 +659,18 @@ def _lag_moments(rows, kw, pw, wo):
     G[a, b] sums the Gram of the padded rows along its diagonal b - a for
     wo steps from (a, b); prefix sums along the diagonals give every entry.
     """
-    xp = np.pad(rows.astype(np.float64), ((0, 0), pw))
-    length = xp.shape[1]
-    count = xp.shape[0] * wo
+    r, w = rows.shape
+    length = pw[0] + w + pw[1]
+    xp = np.zeros((r, length))
+    xp[:, pw[0]:pw[0] + w] = rows
+    count = r * wo
     taps = np.arange(kw)
     prefix = np.concatenate(([0.0], np.cumsum(xp.sum(axis=0))))
     m = (prefix[taps + wo] - prefix[taps]) / count
     # kw zero columns give every diagonal the full length of the rows
-    gram = np.zeros((length, length + kw))
-    gram[:, :length] = xp.T @ xp
+    gram = np.empty((length, length + kw))
+    gram[:, length:] = 0.0
+    np.matmul(xp.T, xp, out=gram[:, :length])
     s0, s1 = gram.strides
     diagonals = as_strided(gram, (kw, length), (s1, s0 + s1))  # [b-a, t]
     prefix = np.zeros((kw, length + 1))

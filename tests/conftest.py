@@ -61,6 +61,46 @@ def check_gradients(forward, arrays, h=1e-3, tol=1e-4):
         assert rel < tol, f"gradient mismatch: rel error {rel:.3e}"
 
 
+def retained_backward(root):
+    """``Tensor.backward`` as it was before the walk released the graph.
+
+    Same topological order and the same gradient arithmetic, but every
+    node keeps its parents, its backward closure and its upstream gradient
+    as ``grad``, so the graph outlives the walk.
+    """
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+
+    grads = {id(root): np.ones_like(root.data)}
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node.grad is None:
+            node.grad = g.copy() if node._backward_fn is None else g
+        else:
+            node.grad = node.grad + g
+        if node._backward_fn is None:
+            continue
+        for parent, pg in zip(node._parents, node._backward_fn(g)):
+            if pg is None or not parent.requires_grad:
+                continue
+            pg = pg.astype(parent.data.dtype, copy=False)
+            key = id(parent)
+            grads[key] = grads[key] + pg if key in grads else pg
+
+
 def assert_same_bytes(got, want):
     """Assert equal dtype, shape and bytes.
 

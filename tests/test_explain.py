@@ -24,6 +24,7 @@ from adhdeepnet.explain import (
     tsne,
     _binary_search_neighbors,
     _distances_from_gram,
+    _distinct_rows,
     _tsne_gradient,
     _tsne_kernel,
     _tsne_setup,
@@ -430,6 +431,21 @@ def test_tsne_folds_signed_zeros_into_one_point():
     assert inverse[3] == inverse[8]
     embedding = tsne(x, perplexity=10.0, iterations=200)
     assert np.array_equal(embedding.points[3], embedding.points[8])
+
+
+def test_distinct_rows_groups_by_bytes_and_keeps_nan_payloads_apart():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(7, 5))
+    quiet = np.array([0x7FF8000000000000], np.uint64).view(np.float64)[0]
+    payload = np.array([0x7FF8000000000001], np.uint64).view(np.float64)[0]
+    x[[1, 4, 6], 2] = quiet
+    x[[4, 6]] = x[1]
+    x[3] = x[1]
+    x[3, 2] = payload  # equal to row 1 but for the NaN's payload bits
+    x[5] = x[0]
+    distinct, inverse = _distinct_rows(x)
+    assert distinct.tolist() == [0, 1, 2, 3]
+    assert inverse.tolist() == [0, 1, 2, 3, 1, 0, 1]
 
 
 def test_tsne_of_rank_one_activations_is_finite():

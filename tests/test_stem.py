@@ -16,6 +16,7 @@ from adhdeepnet.model import (ConfigError, Model, ModelConfig,
                               desk_config)
 from adhdeepnet.tensor import (GraphError, Tensor, batch_norm, conv2d,
                                depthwise_conv2d, spatial_first_stem)
+from adhdeepnet.tensor import _conv_geometry, _lag_moments
 
 from conftest import check_gradients, probe_weights
 
@@ -117,6 +118,24 @@ def test_stem_gradcheck(training, padding):
 
     # the batch statistics depend on x, so only inference mode checks dx
     check_gradients(forward, arrays if training else [x] + arrays)
+
+
+@pytest.mark.parametrize("rows, width, kw, padding", [
+    (38, 512, 32, "same"), (19, 512, 64, "same"), (6, 40, 7, "valid"),
+    (3, 9, 9, "same"), (5, 16, 1, "same")])
+def test_lag_moments_match_a_direct_sum_over_windows(rows, width, kw,
+                                                     padding):
+    rng = np.random.default_rng(kw)
+    x = (rng.standard_normal((rows, width)) + 0.5).astype(np.float32)
+    _, pw, _, wo = _conv_geometry(1, width, 1, kw, padding)
+    m, gram = _lag_moments(x, kw, pw, wo)
+    xpad = np.pad(x.astype(np.float64), ((0, 0), pw))
+    windows = np.lib.stride_tricks.sliding_window_view(
+        xpad, kw, axis=1)[:, :wo].reshape(-1, kw)  # [rows * wo, kw]
+    assert m.dtype == gram.dtype == np.float64
+    np.testing.assert_allclose(m, windows.mean(axis=0), rtol=FLOAT64_RTOL)
+    np.testing.assert_allclose(gram, windows.T @ windows / len(windows),
+                               rtol=FLOAT64_RTOL)
 
 
 def test_stem_training_refuses_input_that_requires_grad():

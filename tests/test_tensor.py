@@ -816,8 +816,53 @@ def test_backward_twice_errors():
     w = Tensor(np.ones(3), requires_grad=True)
     loss = (w * w).sum()
     loss.backward()
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="released"):
         loss.backward()
+
+
+def test_backward_after_zero_grad_on_a_walked_graph_errors():
+    # the walked graph has no closures left to re-run, so a reset loss
+    # must fail rather than leave the gradients silently unchanged
+    w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    loss = (w * w).sum()
+    loss.backward()
+    loss.zero_grad()
+    with pytest.raises(GraphError, match="run the forward pass again"):
+        loss.backward()
+    np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+
+
+def test_backward_through_a_walked_node_errors_before_any_gradient_moves():
+    w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    h = w * w
+    h.sum().backward()
+    np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+    # a fresh path to w beside the walked h: w must not gain 3 from it
+    with pytest.raises(GraphError, match="released"):
+        (w * 3.0 + h).sum().backward()
+    np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+
+
+def test_backward_keeps_grad_on_leaves_only_and_releases_the_graph():
+    w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    x = Tensor(np.array([3.0, 4.0]))
+    h = w * x
+    e = elu(h)
+    loss = e.sum()
+    loss.backward()
+    np.testing.assert_array_equal(w.grad, [3.0, 4.0])
+    assert x.grad is None  # a leaf that needs no gradient
+    for node in (h, e, loss):
+        assert node.grad is None
+        assert node._parents == ()
+        assert node.requires_grad
+    assert w._parents == () and w._backward_fn is None
+
+
+def test_backward_on_a_leaf_sets_its_gradient():
+    w = Tensor(np.array(2.0), requires_grad=True)
+    w.backward()
+    np.testing.assert_array_equal(w.grad, 1.0)
 
 
 def test_backward_accumulates_shared_operand():

@@ -1,12 +1,21 @@
-"""Training-loop behavior: determinism, early stopping, weight constraints."""
+"""Training-loop behavior: determinism, early stopping, weight constraints,
+and the memory a training step leaves behind."""
+
+import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from adhdeepnet.data import generate_synthetic, segment_all
-from adhdeepnet.model import ModelConfig, build_adhdeepnet
+from adhdeepnet.model import ModelConfig, build_adhdeepnet, desk_config
+from adhdeepnet.nn import cross_entropy_loss
+from adhdeepnet.tensor import Tensor
 from adhdeepnet.train import (DivergenceError, FitResult, Trainer,
                               trials_to_arrays)
+
+from conftest import retained_backward
 
 
 def tiny_config(**overrides):
@@ -206,3 +215,96 @@ def test_fit_result_defaults():
     assert result.best_epoch == -1
     assert result.epochs_run == 0
     assert not result.stopped_early
+
+
+# -- the graph a training step leaves behind ---------------------------------
+
+
+def _batch(n, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 1, 19, 512)).astype(np.float32)
+    y = np.eye(2, dtype=np.float32)[np.arange(n) % 2]
+    return Tensor(x), Tensor(y)
+
+
+def _step_loss(model, x, y, seed):
+    """The scaled loss of one ``Trainer.fit`` step, graph attached."""
+    logits = model.forward(x, training=True, rng=np.random.default_rng(seed))
+    return cross_entropy_loss(logits, y) * (1.0 / len(x.data))
+
+
+@pytest.mark.parametrize("config, n", [(desk_config(), 8),
+                                       (ModelConfig(), 2)],
+                         ids=["desk", "full"])
+def test_released_walk_gives_the_retained_walks_gradients(config, n):
+    x, y = _batch(n, seed=4)
+    released = build_adhdeepnet(config, seed=2)
+    retained = build_adhdeepnet(config, seed=2)
+    _step_loss(released, x, y, seed=5).backward()
+    retained_backward(_step_loss(retained, x, y, seed=5))
+    want = retained.named_parameters()
+    for name, p in released.named_parameters().items():
+        assert p.grad is not None, name
+        assert np.array_equal(p.grad, want[name].grad), name
+
+
+def test_backward_frees_every_activation_while_the_loss_is_held():
+    model = build_adhdeepnet(desk_config(), seed=1)
+    x, y = _batch(4)
+    rng = np.random.default_rng(0)
+    gc.disable()  # reference counting alone must free them
+    try:
+        h = x
+        kept, dead = [], []
+        for i, (_, layer) in enumerate(model._steps):
+            h = layer(h, training=True, rng=rng)
+            if i % 2:
+                kept.append(h)
+            else:
+                dead.append(weakref.ref(h.data))
+        loss = cross_entropy_loss(h, y)
+        del h
+        loss.backward()
+        assert [ref() for ref in dead] == [None] * len(dead)
+    finally:
+        gc.enable()
+    assert all(t.grad is None for t in kept + [loss])
+    assert all(p.grad is not None for p in model.parameters())
+
+
+def _traced(action):
+    """(bytes still traced after ``action``, peak traced bytes)."""
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_after_backward_only_the_gradients_stay_traced():
+    model = build_adhdeepnet(desk_config(), seed=1)
+    params = model.parameters()
+    x, y = _batch(8)
+    _step_loss(model, x, y, seed=0).backward()  # warm caches and free lists
+    for p in params:
+        p.zero_grad()
+    held = []  # keeps the loss alive past the measurement
+
+    def step():
+        held.append(_step_loss(model, x, y, seed=1))
+        held[0].backward()
+
+    after, _ = _traced(step)
+    assert after < 2 * sum(p.data.nbytes for p in params)
+
+
+def test_a_fit_carries_no_graph_from_one_step_into_the_next():
+    trials = cohort_trials(2, 8, seed=3)  # 8 trials: one batch per epoch
+    hp = dict(HP, batch_size=len(trials))
+    Trainer(desk_config(), epochs=1).fit(trials, hp, seed=0)  # warm up
+    _, one = _traced(
+        lambda: Trainer(desk_config(), epochs=1).fit(trials, hp, seed=0))
+    _, two = _traced(
+        lambda: Trainer(desk_config(), epochs=2).fit(trials, hp, seed=0))
+    assert two < 1.1 * one
