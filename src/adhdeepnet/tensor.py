@@ -6,21 +6,26 @@ softmax, average and global-average pooling, dropout, and the reductions
 used by the loss. Data is float32 by default (float64 supported, e.g. for
 finite-difference checks); reductions accumulate in float64.
 
-The computation graph is rebuilt on every forward pass (define-by-run):
-each op returns a new Tensor holding a backward closure plus references to
-its parents. ``backward()`` on a scalar tensor walks the graph once in
-reverse topological order and accumulates gradients on the leaves that
-require them (parameters and inputs); intermediate tensors keep no
-``grad``. The walk releases the graph as it goes: each node drops its
-parents and its backward closure, with the arrays the closure saved, as
-soon as it has passed its gradient on, so a training step's activations
-are freed during its backward pass, and a walked graph cannot be walked
-again. Inside ``no_grad()`` no graph is recorded at all: every op
-returns a leaf with no parents, no backward closure and
-``requires_grad=False``, so an inference pass keeps none of the
-intermediates that only the backward pass would read. The grad-off state
-belongs to the thread that entered ``no_grad()``: another thread may train
-meanwhile.
+The computation graph is rebuilt on every forward pass (define-by-run)
+and holds nodes, not values: each op returns a new Tensor that points to
+a small graph node, which keeps the op's backward closure and its
+parents' nodes (a leaf parent, such as a parameter or an input, is kept
+as the Tensor itself). A backward closure keeps only the arrays, shapes
+and dtypes it reads, never an input Tensor, so an op output lives only
+as long as the caller or a closure that reads it: one that no backward
+reads is freed as soon as the forward pass moves past it.
+``backward()`` on a scalar tensor walks the nodes once in reverse
+topological order and accumulates gradients on the leaves that require
+them (parameters and inputs); intermediate tensors keep no ``grad``. The
+walk releases the graph as it goes: each node drops its parents and its
+backward closure, with the arrays the closure saved, as soon as it has
+passed its gradient on, so a training step's saved arrays are freed
+during its backward pass, and a walked graph cannot be walked again.
+Inside ``no_grad()`` no graph is recorded at all: every op returns a
+leaf with no node and ``requires_grad=False``, so an inference pass keeps
+none of the intermediates that only the backward pass would read. The
+grad-off state belongs to the thread that entered ``no_grad()``: another
+thread may train meanwhile.
 
 All convolutions share one primitive. A one-sample-wide kernel mixes
 channels and height taps as one BLAS matrix product per channel group; a
@@ -93,29 +98,58 @@ def _as_array(data, dtype):
     return arr
 
 
+class _Node:
+    """An op's place in the graph: its backward closure, its parents' nodes
+    (or the parent Tensor itself, for a leaf) and its output's dtype."""
+
+    __slots__ = ("_parents", "_backward_fn", "dtype")
+    requires_grad = True  # a node exists only where a gradient is needed
+
+    def __init__(self, parents, backward_fn, dtype):
+        self._parents = parents
+        self._backward_fn = backward_fn
+        self.dtype = dtype
+
+
 class Tensor:
     """An n-d float array, an optional gradient, and a place in the graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = _as_array(data, dtype)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward_fn = None
+        self._node = None
 
     # -- construction of graph nodes -------------------------------------
 
     @staticmethod
     def _from_op(data, parents, backward_fn):
+        """A Tensor over ``data`` whose node records ``backward_fn`` and the
+        parents' nodes, when grad is on and some parent requires it.
+
+        The node keeps no parent's ``data``: an array lives only as long as
+        the caller holds it or a backward closure reads it, so
+        ``backward_fn`` must capture the arrays, shapes and dtypes it
+        needs, never an input Tensor.
+        """
         out = Tensor(data)
         out.requires_grad = _grad_enabled.get() and any(
             p.requires_grad for p in parents)
         if out.requires_grad:
-            out._parents = tuple(parents)
-            out._backward_fn = backward_fn
+            out._node = _Node(
+                tuple(p if p._node is None else p._node for p in parents),
+                backward_fn, out.data.dtype)
         return out
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward_fn(self):
+        return None if self._node is None else self._node._backward_fn
 
     # -- basic introspection ----------------------------------------------
 
@@ -198,9 +232,12 @@ class Tensor:
         if not self.requires_grad:
             raise GraphError("backward() on a tensor with no graph attached")
 
+        # the walk visits nodes and leaf Tensors; a leaf has no backward
+        # function, and only a leaf takes a ``grad``
+        root = self if self._node is None else self._node
         order = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -216,7 +253,7 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
 
-        grads = {id(self): np.ones_like(self.data)}
+        grads = {id(root): np.ones_like(self.data)}
         while order:
             node = order.pop()
             g = grads.pop(id(node), None)
@@ -232,7 +269,7 @@ class Tensor:
             for parent, pg in zip(parents, parent_grads):
                 if pg is None or not parent.requires_grad:
                     continue
-                pg = pg.astype(parent.data.dtype, copy=False)
+                pg = pg.astype(parent.dtype, copy=False)
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + pg
@@ -269,28 +306,31 @@ def _unbroadcast(grad, shape):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return Tensor._from_op(out, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
+    sa, sb = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return Tensor._from_op(out, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
 
     def backward(g):
-        return (_unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape))
+        return (_unbroadcast(g * bd, ad.shape),
+                _unbroadcast(g * ad, bd.shape))
 
     return Tensor._from_op(out, (a, b), backward)
 
@@ -302,10 +342,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(
             f"matmul needs [m,k] x [k,n], got {a.shape} x {b.shape}")
-    out = a.data @ b.data
+    ad, bd = a.data, b.data
+    out = ad @ bd
 
     def backward(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ bd.T, ad.T @ g
 
     return Tensor._from_op(out, (a, b), backward)
 
@@ -316,10 +357,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"linear needs x [n,in] and weight [out,in], got {x.shape} and "
             f"{weight.shape}")
-    out = x.data @ weight.data.T + bias.data
+    xd, wd = x.data, weight.data
+    out = xd @ wd.T + bias.data
 
     def backward(g):
-        return g @ weight.data, g.T @ x.data, g.sum(axis=0)
+        return g @ wd, g.T @ xd, g.sum(axis=0)
 
     return Tensor._from_op(out, (x, weight, bias), backward)
 
@@ -353,19 +395,20 @@ def concat(tensors, axis=1) -> Tensor:
 
 def tsum(t: Tensor) -> Tensor:
     out = t.data.sum(dtype=np.float64).astype(t.dtype)
+    shape = t.shape
 
     def backward(g):
-        return (np.broadcast_to(g, t.shape),)
+        return (np.broadcast_to(g, shape),)
 
     return Tensor._from_op(np.asarray(out), (t,), backward)
 
 
 def tmean(t: Tensor) -> Tensor:
     out = t.data.mean(dtype=np.float64).astype(t.dtype)
-    n = t.size
+    n, shape, dtype = t.size, t.shape, t.dtype
 
     def backward(g):
-        return (np.broadcast_to(g / n, t.shape).astype(t.dtype),)
+        return (np.broadcast_to(g / n, shape).astype(dtype),)
 
     return Tensor._from_op(np.asarray(out), (t,), backward)
 
@@ -374,10 +417,11 @@ def tmean(t: Tensor) -> Tensor:
 
 
 def relu(t: Tensor) -> Tensor:
-    out = np.maximum(t.data, 0)
+    x = t.data
+    out = np.maximum(x, 0)
 
     def backward(g):
-        return (g * (t.data > 0),)
+        return (g * (x > 0),)
 
     return Tensor._from_op(out, (t,), backward)
 
@@ -513,21 +557,21 @@ def _time_conv(x, kernel, padding, groups):
         ks = sfft.rfft(kernel.data, nfft).reshape(groups, -1, ck, 1, t)
         xw = xw[:, :, None]  # [N, G, 1, C/G*kh, H', T]
         grouped = sfft.irfft(_squeeze_sum(xw * ks.conj(), 3), nfft)[..., :wo]
-    # a compact copy, so the tape holds the output, not the transform buffer
+    # a compact copy, so whoever holds the output holds no transform buffer
     out = np.ascontiguousarray(grouped).reshape(n, -1, ho, wo)
+    needs_dx, kshape = x.requires_grad, kernel.shape
 
     def backward(g):
         if nfft is None:
             gs = g.reshape(n, groups, -1, ho * t)
             dk = np.matmul(gs, xw.swapaxes(2, 3)).sum(axis=0)
-            rows = np.matmul(ks.swapaxes(1, 2), gs) \
-                if x.requires_grad else None
+            rows = np.matmul(ks.swapaxes(1, 2), gs) if needs_dx else None
         else:
             gs = sfft.rfft(g, nfft).reshape(n, groups, -1, 1, ho, t)
-            rows = _squeeze_sum(gs * ks, 2) if x.requires_grad else None
+            rows = _squeeze_sum(gs * ks, 2) if needs_dx else None
             dk = (xw * np.conjugate(gs, out=gs)).sum(axis=(0, 4))
             dk = sfft.irfft(dk, nfft)[..., :kw]
-        dk = dk.reshape(kernel.shape)
+        dk = dk.reshape(kshape)
         if rows is None:
             return None, dk
         rows = rows.reshape(n, c, kh, ho, t)
@@ -627,20 +671,22 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean,
     mean = mean.astype(x.dtype)
     xhat = x.data - mean[:, None, None]
     xhat *= inv_std
-    out = gamma.data[:, None, None] * xhat
+    scale = gamma.data[:, None, None]
+    out = scale * xhat
     out += beta.data[:, None, None]
+    dtype = x.dtype
 
     def backward(g):
         prod = g * xhat
-        dgamma = prod.sum(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
-        dbeta = g.sum(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
-        dx = g * gamma.data[:, None, None]  # dL/dxhat, turned into dL/dx
+        dgamma = prod.sum(axis=(0, 2, 3), dtype=np.float64).astype(dtype)
+        dbeta = g.sum(axis=(0, 2, 3), dtype=np.float64).astype(dtype)
+        dx = g * scale  # dL/dxhat, turned into dL/dx
         if training:
             # d/dx of ((x - mu) / sigma): mean and variance depend on x;
             # dx = inv_std * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat))
-            t2 = dx.mean(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
+            t2 = dx.mean(axis=(0, 2, 3), dtype=np.float64).astype(dtype)
             np.multiply(dx, xhat, out=prod)
-            t3 = prod.mean(axis=(0, 2, 3), dtype=np.float64).astype(x.dtype)
+            t3 = prod.mean(axis=(0, 2, 3), dtype=np.float64).astype(dtype)
             dx -= t2[:, None, None]
             dx -= np.multiply(xhat, t3[:, None, None], out=prod)
         dx *= inv_std
@@ -745,22 +791,24 @@ def spatial_first_stem(x: Tensor, kernel: Tensor, gamma: Tensor,
     scale = gamma.data * inv_std
     offset = beta.data - scale * mean
     s = spatial.data.sum(axis=(2, 3), dtype=np.float64)
-    out = u.data * scale.astype(u.dtype)[:, None, None]
-    out += (offset[:, None] * s).astype(u.dtype)[:, :, None]
+    ud, gd = u.data, gamma.data
+    kshape, sshape = kernel.shape, spatial.shape
+    out = ud * scale.astype(ud.dtype)[:, None, None]
+    out += (offset[:, None] * s).astype(ud.dtype)[:, :, None]
 
     def backward(g):
         gsum = g.sum(axis=(0, 3), dtype=np.float64)  # [F, D]
         gs = (gsum * s).sum(axis=1)
-        dscale = (g * u.data).sum(axis=(0, 2, 3), dtype=np.float64) \
+        dscale = (g * ud).sum(axis=(0, 2, 3), dtype=np.float64) \
             - mean * gs
         dspatial = np.broadcast_to((offset[:, None] * gsum)[..., None, None],
-                                   spatial.shape)
+                                   sshape)
         dk = None
         if training:
             dmean = -scale * gs
-            dvar = dscale * gamma.data * (-0.5 * inv_std ** 3)
+            dvar = dscale * gd * (-0.5 * inv_std ** 3)
             dk = ((dmean - 2.0 * dvar * mean)[:, None] * m
-                  + 2.0 * dvar[:, None] * gk).reshape(kernel.shape)
+                  + 2.0 * dvar[:, None] * gk).reshape(kshape)
         return (g * scale.astype(g.dtype)[:, None, None], dk, dspatial,
                 dscale * inv_std, gs)
 
@@ -858,9 +906,10 @@ def avg_pool(x: Tensor, window=(1, 2), stride=None, padding="valid") -> Tensor:
     # a numpy sum starts from +0.0, so a window of -0.0 averages to +0.0
     out = np.add(total, 0.0, out=np.empty(total.shape, x.dtype))
     scale = 1.0 / (kh * kw)
+    dtype = x.dtype
 
     def backward(g):
-        dxp = np.zeros((n, c, hp, wp), x.dtype)
+        dxp = np.zeros((n, c, hp, wp), dtype)
         gs = g * scale
         for i in range(kh):
             for j in range(kw):
@@ -878,9 +927,10 @@ def global_avg_pool(x: Tensor) -> Tensor:
     out = x.data.mean(axis=(2, 3), dtype=np.float64).astype(x.dtype)
     out = out.reshape(n, c, 1, 1)
     scale = 1.0 / (h * w)
+    shape = x.shape
 
     def backward(g):
-        return (np.broadcast_to(g * scale, x.shape),)
+        return (np.broadcast_to(g * scale, shape),)
 
     return Tensor._from_op(out, (x,), backward)
 

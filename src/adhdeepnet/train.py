@@ -36,7 +36,8 @@ def trials_to_arrays(trials):
     """Stack trials into network inputs [N,1,E,T] and one-hot labels [N,2]."""
     if len(trials) == 0:
         raise ValueError("no trials to stack")
-    x = np.stack([t.window for t in trials])[:, None].astype(np.float32)
+    # cast while stacking: one [N,E,T] copy, not a stack and then its cast
+    x = np.stack([t.window for t in trials], dtype=np.float32)[:, None]
     y = np.asarray([t.label_vector for t in trials], dtype=np.float32)
     return x, y
 

@@ -65,10 +65,13 @@ def retained_backward(root):
     """``Tensor.backward`` as it was before the walk released the graph.
 
     Same topological order and the same gradient arithmetic, but every
-    node keeps its parents, its backward closure and its upstream gradient
-    as ``grad``, so the graph outlives the walk.
+    node keeps its parents and its backward closure, so the graph outlives
+    the walk. Leaves accumulate ``grad`` as in ``Tensor.backward``; graph
+    nodes have no ``grad``, so each one's upstream gradient is kept in the
+    returned dict, keyed by the node.
     """
-    order, seen, stack = [], set(), [(root, False)]
+    start = root if root._node is None else root._node
+    order, seen, stack = [], set(), [(start, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -82,23 +85,23 @@ def retained_backward(root):
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
-    grads = {id(root): np.ones_like(root.data)}
+    node_grads = {}
+    grads = {id(start): np.ones_like(root.data)}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.grad is None:
-            node.grad = g.copy() if node._backward_fn is None else g
-        else:
-            node.grad = node.grad + g
         if node._backward_fn is None:
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
+        node_grads[node] = g
         for parent, pg in zip(node._parents, node._backward_fn(g)):
             if pg is None or not parent.requires_grad:
                 continue
-            pg = pg.astype(parent.data.dtype, copy=False)
+            pg = pg.astype(parent.dtype, copy=False)
             key = id(parent)
             grads[key] = grads[key] + pg if key in grads else pg
+    return node_grads
 
 
 def assert_same_bytes(got, want):

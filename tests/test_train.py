@@ -8,14 +8,14 @@ import weakref
 import numpy as np
 import pytest
 
-from adhdeepnet.data import generate_synthetic, segment_all
+from adhdeepnet.data import Trial, generate_synthetic, segment_all
 from adhdeepnet.model import ModelConfig, build_adhdeepnet, desk_config
 from adhdeepnet.nn import cross_entropy_loss
 from adhdeepnet.tensor import Tensor
 from adhdeepnet.train import (DivergenceError, FitResult, Trainer,
                               trials_to_arrays)
 
-from conftest import retained_backward
+from conftest import assert_same_bytes, retained_backward
 
 
 def tiny_config(**overrides):
@@ -44,6 +44,17 @@ def test_trials_to_arrays_shapes_and_labels():
     for trial, row in zip(trials, y):
         expected = (1.0, 0.0) if trial.label == "ADHD" else (0.0, 1.0)
         assert tuple(row) == expected
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_trials_to_arrays_casts_while_stacking(dtype):
+    rng = np.random.default_rng(7)
+    trials = [Trial("s1", i, rng.standard_normal((19, 512)).astype(dtype),
+                    "ADHD" if i % 2 else "HC") for i in range(5)]
+    x, _ = trials_to_arrays(trials)
+    want = np.stack([t.window for t in trials])[:, None].astype(np.float32)
+    assert_same_bytes(x, want)
+    assert x.flags.c_contiguous
 
 
 def test_fixed_seed_reproduces_loss_trajectory_bit_identically():
@@ -308,3 +319,66 @@ def test_a_fit_carries_no_graph_from_one_step_into_the_next():
     _, two = _traced(
         lambda: Trainer(desk_config(), epochs=2).fit(trials, hp, seed=0))
     assert two < 1.1 * one
+
+
+def test_a_forward_frees_each_activation_that_no_backward_reads():
+    model = build_adhdeepnet(desk_config(), seed=1)
+    x, y = _batch(4)
+    rng = np.random.default_rng(0)
+    # the stem's output and bn2's, elu1's and pool1's are read by no
+    # backward closure; the pointwise convs' kernel gradients read
+    # dropout1's output
+    watched = ("spatial_depthwise", "bn2", "elu1", "pool1", "dropout1")
+    gc.disable()  # reference counting alone must free them
+    try:
+        h, refs = x, {}
+        for name, layer in model._steps:
+            h = layer(h, training=True, rng=rng)
+            if name in watched:
+                refs[name] = weakref.ref(h.data)
+        loss = cross_entropy_loss(h, y)
+        del h
+        alive = [name for name, ref in refs.items() if ref() is not None]
+    finally:
+        gc.enable()
+    assert alive == ["dropout1"]
+    loss.backward()
+    assert all(p.grad is not None for p in model.parameters())
+
+
+def _graph_nodes(root):
+    nodes, seen, stack = [], set(), [root._node]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward_fn is None:
+            continue  # a leaf Tensor
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
+@pytest.mark.parametrize("config, n", [(desk_config(), 4),
+                                       (ModelConfig(), 2)],
+                         ids=["desk", "full"])
+def test_no_backward_closure_holds_a_graph_node_or_its_tensor(config, n):
+    x, y = _batch(n, seed=4)
+    loss = _step_loss(build_adhdeepnet(config, seed=2), x, y, seed=5)
+    nodes = _graph_nodes(loss)
+    node_type = type(loss._node)
+    assert len(nodes) > 50
+    for node in nodes:
+        for cell in node._backward_fn.__closure__ or ():
+            value = cell.cell_contents
+            assert not isinstance(value, node_type), node._backward_fn
+            assert not isinstance(value, Tensor) or value._node is None, \
+                node._backward_fn
+
+
+def test_a_desk_forward_holds_little_while_its_loss_is_held():
+    model = build_adhdeepnet(desk_config(), seed=1)
+    x, y = _batch(32)
+    _step_loss(model, x, y, seed=0).backward()  # warm caches and free lists
+    held = []
+    after, _ = _traced(lambda: held.append(_step_loss(model, x, y, seed=1)))
+    assert after < 18 * 2**20
