@@ -281,29 +281,52 @@ def _check_tsne_arguments(perplexity, iterations):
         raise ValueError(f"iterations must be >= 1, got {iterations}")
 
 
-def _distinct_rows(x):
-    """Group the rows of x by their exact bytes.
+# float64 bytes of one column chunk of the t-SNE Gram matrix
+_GRAM_CHUNK_BYTES = 1 << 21
 
-    Returns the indices of the distinct rows in order of first occurrence
-    and, for every row, the position of its group among them. Sorting a
-    void view puts byte-equal rows next to each other without copying
-    them (``np.unique`` on the view would copy every row three times).
-    Neighbours are compared through an unsigned-integer view of the same
-    item size, row view against row view, so no row is copied and NaNs
-    compare by their bits.
+
+def _centred_gram(x, rows=slice(None)):
+    """Gram matrix u u^T of the ``rows`` of x centred over those rows, in
+    float64. Raises ValueError naming the first row that is not finite.
+
+    Columns are converted, checked and centred one chunk of at most
+    ``_GRAM_CHUNK_BYTES`` at a time, so no float64 copy of x is made.
     """
-    rows = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1])))
-    rows = rows.ravel()
-    order = np.argsort(rows, kind="stable")
-    bits = x.view(np.dtype(f"u{x.dtype.itemsize}"))
-    fresh = np.ones(order.size, dtype=bool)
-    fresh[1:] = [not np.array_equal(bits[a], bits[b])
-                 for a, b in zip(order[1:], order[:-1])]
-    # a stable sort starts each run of equal rows at its first occurrence
-    first = np.empty_like(order)
-    first[order] = order[fresh][np.cumsum(fresh) - 1]
-    distinct, inverse = np.unique(first, return_inverse=True)
-    return distinct, inverse
+    n = x[rows, :1].shape[0]
+    step = max(1, _GRAM_CHUNK_BYTES // (8 * n))
+    g = np.zeros((n, n))
+    finite = np.ones(n, dtype=bool)
+    for j in range(0, x.shape[1], step):
+        u = np.array(x[rows, j:j + step], dtype=np.float64)  # private
+        finite &= np.isfinite(u).all(axis=1)
+        if finite.all():  # past a bad row only the check goes on
+            u -= u.mean(axis=0)  # distances do not change under a shift
+            g += u @ u.T
+    if not finite.all():
+        raise ValueError(
+            f"activation row {int(np.argmin(finite))} is not finite")
+    return g
+
+
+def _group_equal_rows(x, d2, sq):
+    """Group the exactly equal rows of x (-0.0 equals 0.0), given their
+    squared distances d2 from a centred float64 Gram matrix with diagonal sq.
+
+    Each Gram entry is a sum of d products, off by at most d eps |u_i| |u_j|
+    in float64, so two equal rows lie within 4 d eps (sq_i + sq_j) of
+    distance 0. Every pair within that bound is confirmed with
+    ``np.array_equal``. Returns the indices of the distinct rows in order of
+    first occurrence and, for every row, the position of its group among
+    them.
+    """
+    n, d = x.shape
+    bound = 4.0 * d * np.finfo(np.float64).eps * np.add.outer(sq, sq)
+    first = np.arange(n)
+    # pairs in row-major order: a row meets its first occurrence first
+    for i, j in np.argwhere(np.triu(d2 <= bound, 1)):
+        if first[i] == i and first[j] == j and np.array_equal(x[i], x[j]):
+            first[j] = i
+    return np.unique(first, return_inverse=True)
 
 
 def _pca_init(g, scale=1e-4):
@@ -326,15 +349,16 @@ def _pca_init(g, scale=1e-4):
 def _tsne_setup(activations, perplexity):
     """Distinct rows, joint neighbor probabilities and PCA initialization.
 
-    The cost is one m x m Gram matrix over the m distinct rows: exact
-    duplicates are found by comparing row bytes (after folding -0.0 into
-    0.0), the distinct rows are centred once, and both the neighbor
-    distances and the initialization come from g = u u^T. Returns
-    (distinct, inverse, p, y): the indices of the distinct rows in order
-    of first occurrence, each row's position among them, the [m, m] joint
+    The cost is one n x n Gram matrix of the centred rows, built in float64
+    one column chunk at a time (``_centred_gram``). Exact duplicates are
+    found from the distances it gives (``_group_equal_rows``); only when
+    there are some is the Gram rebuilt over the m distinct rows. Both the
+    neighbor distances and the initialization come from that Gram. Returns
+    (distinct, inverse, p, y): the indices of the distinct rows in order of
+    first occurrence, each row's position among them, the [m, m] joint
     probabilities and the [m, 2] initial coordinates.
     """
-    x = np.array(activations, dtype=np.float64)  # private: edited in place
+    x = np.asarray(activations)
     if x.ndim != 2 or x.shape[1] < 2:
         raise ValueError(f"activations must be [N, d>=2], got {x.shape}")
     n = x.shape[0]
@@ -342,28 +366,25 @@ def _tsne_setup(activations, perplexity):
         raise ValueError(
             f"{n} points cannot support perplexity {perplexity} "
             f"(need N >= 3*perplexity)")
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        raise ValueError(
-            f"activation row {int(np.argmin(finite))} is not finite")
+    g = _centred_gram(x)
 
     # Exact-duplicate rows must come out coincident, but the descent cannot
     # guarantee that on its own: at this learning rate the dynamics of a
     # coincident pair are unstable, so any summation-order float asymmetry
     # (~1e-16) doubles every few iterations until the pair flies apart.
     # Embed the distinct rows only and broadcast coordinates back at the end.
-    x += 0.0  # folds -0.0 into 0.0, so equal rows have equal bytes
-    distinct, inverse = _distinct_rows(x)
+    sq = np.diag(g)
+    d2 = _distances_from_gram(g, sq)
+    distinct, inverse = _group_equal_rows(x, d2, sq)
     m = distinct.size
     if m < 3:
         raise ValueError(f"only {m} distinct activation rows; need >= 3")
+    if m < n:
+        g = _centred_gram(x, distinct)
+        d2 = _distances_from_gram(g, np.diag(g))
     perp = min(float(perplexity), max(2.0, (m - 1) / 3.0))
-
-    u = x[distinct] if m < n else x
-    u -= u.mean(axis=0)  # distances do not change under a shift
-    g = u @ u.T
-    cond = _binary_search_neighbors(_distances_from_gram(g, np.diag(g)),
-                                    perp)
+    cond = _binary_search_neighbors(d2, perp)
+    del d2
     p = (cond + cond.T) / (2.0 * m)
     p = np.maximum(p, 1e-12)
     return distinct, inverse, p, _pca_init(g)
@@ -431,31 +452,38 @@ def _check_layer_tags(model, layer_tags):
 
 
 def layer_activations(model, trials, layer_tags=DEFAULT_LAYER_TAGS,
-                      batch_size=64):
+                      batch_size=32):
     """Flattened per-trial activation matrices at the tagged stages.
 
-    Each batch is copied into one preallocated matrix per tag as it
-    arrives and is dropped before the next forward. Batches kept for a
-    concatenation at the end sit in the C heap wherever the allocator put
-    them, and the resident peak then varies from run to run by up to
-    75 MiB. The matrices are allocated before the first batch, sized by a
-    one-trial forward: allocated after it, one could land on top of that
-    batch's freed temporaries, so the heap could not shrink under what
-    the caller allocates next.
+    ``Model.infer`` stacks one batch of windows at a time, and each tagged
+    stage's output is copied into its rows of one preallocated matrix per
+    tag as that stage returns, so a forward holds no capture past the
+    stage that made it. The matrices are allocated before the first batch,
+    sized by a one-trial forward: allocated during a batch, one could land
+    on top of that batch's temporaries in the C heap, so the heap could
+    not shrink under what the caller allocates next.
     """
     _check_layer_tags(model, layer_tags)
-    windows = np.stack([t.window for t in trials])[:, None, :, :]
-    capture = tuple(layer_tags)
-    _, _, probe = next(model.infer(windows[:1], 1, capture=capture))
-    rows = {tag: np.empty((len(windows), probe[tag][0].size), probe[tag].dtype)
+    windows = [t.window[None] for t in trials]
+    probe = {}
+
+    def measure(tag):
+        def keep(_, data):
+            probe[tag] = (data[0].size, data.dtype)
+        return keep
+
+    def copy_into(matrix):
+        def keep(start, data):
+            matrix[start:start + len(data)] = data.reshape(len(data), -1)
+        return keep
+
+    next(model.infer(windows[:1], 1,
+                     capture={tag: measure(tag) for tag in layer_tags}))
+    rows = {tag: np.empty((len(windows), probe[tag][0]), probe[tag][1])
             for tag in layer_tags}
-    del probe
-    for start, _, captured in model.infer(windows, batch_size,
-                                          capture=capture):
-        for tag in layer_tags:
-            data = captured[tag]
-            rows[tag][start:start + len(data)] = data.reshape(len(data), -1)
-        del captured, data  # hold no batch while the next one runs
+    for _ in model.infer(windows, batch_size, capture={
+            tag: copy_into(matrix) for tag, matrix in rows.items()}):
+        pass
     return rows
 
 

@@ -10,6 +10,7 @@ calibrated so the full model lands at 225,794 parameters (golden-pinned).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -179,38 +180,44 @@ class Model:
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, x, training=False, rng=None, capture=()):
-        """Run to logits. ``capture`` names tags whose activations to keep."""
-        wanted = {self.capture_tags[tag]: tag for tag in capture}
-        captured = {}
+    def forward(self, x, training=False, rng=None, capture=None):
+        """Run to logits. ``capture`` maps tags to callables: each is called
+        with its stage's output array as that stage returns, so the caller
+        can copy it out before the next stage runs."""
+        taps = {}
+        for tag, keep in (capture or {}).items():
+            taps.setdefault(self.capture_tags[tag], []).append(keep)
         for name, layer in self._steps:
             x = layer(x, training=training, rng=rng)
-            if name in wanted:
-                captured[wanted[name]] = x.data
-        if capture:
-            return x, captured
+            for keep in taps.get(name, ()):
+                keep(x.data)
         return x
 
-    def infer(self, x, batch_size, capture=()):
-        """Run an [N,1,E,T] array through ``forward(training=False)``,
-        ``batch_size`` trials at a time; yields (start, logits, captured)
-        per batch, with the logits as an array. Each forward records no
-        graph; the grad-off state never spans a ``yield``, so a caller may
-        train between batches."""
+    def infer(self, x, batch_size, capture=None):
+        """Run N trials through ``forward(training=False)``, ``batch_size``
+        at a time; yields (start, logits) per batch, with the logits as an
+        array. ``x`` is an [N,1,E,T] array or a sequence of N [1,E,T]
+        arrays, stacked one batch at a time. ``capture`` maps tags to
+        callables, each called as keep(start, data) with the batch's output
+        of its stage as that stage returns. Each forward records no graph;
+        the grad-off state never spans a ``yield``, so a caller may train
+        between batches."""
+        capture = capture or {}
         for start in range(0, len(x), batch_size):
+            batch = Tensor(x[start:start + batch_size])
+            taps = {tag: functools.partial(keep, start)
+                    for tag, keep in capture.items()}
             with tz.no_grad():
-                out = self.forward(Tensor(x[start:start + batch_size]),
-                                   training=False, capture=capture)
-            if capture:
-                yield start, out[0].data, out[1]
-            else:
-                yield start, out.data, {}
-            del out  # hold no batch while the next one runs
+                logits = self.forward(batch, training=False,
+                                      capture=taps).data
+            del batch, taps
+            yield start, logits
+            del logits  # hold no batch while the next one runs
 
     def predict_proba(self, x, batch_size=128):
         """Class probabilities for a [N,1,E,T] array, inference mode."""
         return np.concatenate([tz.softmax(Tensor(logits), axis=1).data
-                               for _, logits, _ in self.infer(x, batch_size)])
+                               for _, logits in self.infer(x, batch_size)])
 
     # -- parameters -----------------------------------------------------------
 

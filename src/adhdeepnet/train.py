@@ -159,7 +159,7 @@ class Trainer:
     def evaluate_loss(self, model, x, y, batch_size=128):
         """Mean per-sample cross-entropy in inference mode."""
         total = 0.0
-        for start, logits, _ in model.infer(x, batch_size):
+        for start, logits in model.infer(x, batch_size):
             yb = Tensor(y[start:start + batch_size])
             total += float(cross_entropy_loss(Tensor(logits), yb).data)
         return total / len(x)

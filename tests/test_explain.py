@@ -24,12 +24,12 @@ from adhdeepnet.explain import (
     tsne,
     _binary_search_neighbors,
     _distances_from_gram,
-    _distinct_rows,
     _tsne_gradient,
     _tsne_kernel,
     _tsne_setup,
 )
-from adhdeepnet.model import ModelConfig, build_adhdeepnet
+from adhdeepnet.model import ModelConfig, build_adhdeepnet, \
+    build_eegnet_baseline, desk_config
 
 
 def tiny_model(temporal_kernel=8, seed=0):
@@ -433,19 +433,40 @@ def test_tsne_folds_signed_zeros_into_one_point():
     assert np.array_equal(embedding.points[3], embedding.points[8])
 
 
-def test_distinct_rows_groups_by_bytes_and_keeps_nan_payloads_apart():
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(7, 5))
-    quiet = np.array([0x7FF8000000000000], np.uint64).view(np.float64)[0]
-    payload = np.array([0x7FF8000000000001], np.uint64).view(np.float64)[0]
-    x[[1, 4, 6], 2] = quiet
-    x[[4, 6]] = x[1]
-    x[3] = x[1]
-    x[3, 2] = payload  # equal to row 1 but for the NaN's payload bits
-    x[5] = x[0]
-    distinct, inverse = _distinct_rows(x)
-    assert distinct.tolist() == [0, 1, 2, 3]
-    assert inverse.tolist() == [0, 1, 2, 3, 1, 0, 1]
+def test_tsne_setup_groups_byte_equal_rows():
+    x = np.random.default_rng(11).normal(size=(30, 7))
+    x[[4, 6, 21]] = x[1]
+    x[25] = x[0]
+    distinct, inverse, p, y = _tsne_setup(x, 5.0)
+    assert distinct.tolist() == [i for i in range(30)
+                                 if i not in (4, 6, 21, 25)]
+    assert inverse[[1, 4, 6, 21]].tolist() == [1] * 4
+    assert inverse[0] == inverse[25] == 0
+    assert np.array_equal(x[distinct][inverse], x)
+    assert p.shape == (26, 26) and y.shape == (26, 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tsne_setup_keeps_rows_one_ulp_apart(dtype):
+    x = np.random.default_rng(13).normal(size=(24, 9)).astype(dtype)
+    x[7] = x[3]
+    x[7, 5] = np.nextafter(x[3, 5], dtype(np.inf))
+    x[11] = x[3]
+    distinct, inverse, _, _ = _tsne_setup(x, 5.0)
+    assert distinct.size == 23
+    assert inverse[3] == inverse[11] != inverse[7]
+
+
+def test_tsne_setup_memory_stays_below_a_quarter_of_a_float64_copy():
+    x = np.random.default_rng(14).normal(size=(64, 65536)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _tsne_setup(x, 10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.size * 8 / 4, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_tsne_of_rank_one_activations_is_finite():
@@ -498,11 +519,49 @@ def test_layer_activations_stack_the_batches_bitwise():
     windows = np.stack([t.window for t in trials])[:, None, :, :]
     acts = layer_activations(model, trials, batch_size=32)
     tags = tuple(acts)
-    batches = [captured for _, _, captured in
-               model.infer(windows, 32, capture=tags)]
+    batches = {tag: [] for tag in tags}
+    capture = {tag: lambda _, data, tag=tag: batches[tag].append(data.copy())
+               for tag in tags}
+    for _ in model.infer(windows, 32, capture=capture):
+        pass
     for tag in tags:
         assert_same_bytes(acts[tag], np.concatenate(
-            [b[tag].reshape(len(b[tag]), -1) for b in batches]))
+            [b.reshape(len(b), -1) for b in batches[tag]]))
+
+
+def test_layer_activations_memory_does_not_grow_with_the_trial_count():
+    """Beyond its output matrices, layer_activations holds one batch's
+    forward and no stack of every window."""
+    model = tiny_model(seed=2)
+    trials = synthetic_trials(4, 64, seed=5)[:64]
+    layer_activations(model, trials[:8], batch_size=8)  # warm caches
+    beyond = []
+    for n in (32, 64):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            acts = layer_activations(model, trials[:n], batch_size=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        beyond.append(peak - sum(a.nbytes for a in acts.values()))
+    # a list of window views grows a little; one stacked window would not
+    # fit in the slack
+    assert beyond[1] - beyond[0] < trials[0].window.nbytes, beyond
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_eegnet_baseline(desk_config(), seed=1),
+    lambda: build_adhdeepnet(desk_config(use_inxception=False), seed=1)],
+    ids=["eegnet", "se-only"])
+def test_layer_activations_capture_tags_that_share_a_stage(build):
+    model = build()
+    assert model.capture_tags["block1"] == model.capture_tags["inxception"]
+    trials = synthetic_trials()
+    acts = layer_activations(model, trials)
+    assert list(acts) == ["block1", "inxception", "attention"]
+    assert_same_bytes(acts["block1"], acts["inxception"])
+    assert acts["attention"].shape[0] == len(trials)
 
 
 def test_layer_activations_unknown_tag():

@@ -44,37 +44,68 @@ def test_infer_batches_cover_a_ragged_input_in_order():
     model = build_adhdeepnet(small_config(), seed=0)
     x = np.random.default_rng(1).standard_normal(
         (11, 1, 19, 512)).astype(np.float32)
-    batches = list(model.infer(x, 4, capture=("block1",)))
-    assert [start for start, _, _ in batches] == [0, 4, 8]
-    assert [len(logits) for _, logits, _ in batches] == [4, 4, 3]
-    for start, logits, captured in batches:
+    seen = []
+    capture = {"block1": lambda start, data: seen.append((start, len(data)))}
+    batches = list(model.infer(x, 4, capture=capture))
+    assert [start for start, _ in batches] == [0, 4, 8]
+    assert [len(logits) for _, logits in batches] == [4, 4, 3]
+    assert seen == [(0, 4), (4, 4), (8, 3)]
+    for start, logits in batches:
         assert isinstance(logits, np.ndarray)
-        assert set(captured) == {"block1"}
-        assert captured["block1"].shape[0] == len(logits)
         single = model.forward(Tensor(x[start:start + len(logits)]),
                                training=False).data
         np.testing.assert_array_equal(logits, single)
-    assert all(captured == {} for _, _, captured in model.infer(x, 4))
+    # a sequence of [1,E,T] windows is stacked one batch at a time
+    windows = [w for w in x]
+    for (_, want), (_, got) in zip(batches, model.infer(windows, 4)):
+        assert_same_bytes(got, want)
 
 
 def test_infer_holds_no_batch_while_the_next_one_runs():
     model = build_adhdeepnet(small_config(), seed=0)
     x = np.random.default_rng(2).standard_normal(
         (4, 1, 19, 512)).astype(np.float32)
-    batches = model.infer(x, 2, capture=("block1",))
-    _, logits, captured = next(batches)
-    held = [weakref.ref(logits), weakref.ref(captured["block1"])]
-    del logits, captured
+    held = []
+    batches = model.infer(list(x), 2, capture={
+        "block1": lambda _, data: held.append(weakref.ref(data))})
+    _, logits = next(batches)
+    held.append(weakref.ref(logits))
+    del logits
     alive = []
     forward = model.forward
 
-    def watched(*args, **kwargs):
+    def watched(x, *args, **kwargs):
         alive.append([ref() is not None for ref in held])
-        return forward(*args, **kwargs)
+        held.append(weakref.ref(x.data))  # the stacked batch
+        return forward(x, *args, **kwargs)
 
     model.forward = watched
     next(batches)
+    next(batches, None)
     assert alive == [[False, False]]
+    assert held[-1]() is None
+
+
+def test_forward_holds_no_capture_past_the_next_stage():
+    model = build_adhdeepnet(small_config(), seed=0)
+    x = Tensor(np.random.default_rng(3).standard_normal(
+        (2, 1, 19, 512)).astype(np.float32))
+    held = {}
+    names = [name for name, _ in model._steps]
+    post = names.index("post_sep")
+    name, layer = model._steps[post]
+    alive = []
+
+    def watched(*args, **kwargs):
+        alive.append({tag: ref() is not None for tag, ref in held.items()})
+        return layer(*args, **kwargs)
+
+    model._steps[post] = (name, watched)
+    capture = {tag: lambda data, tag=tag: held.__setitem__(
+        tag, weakref.ref(data)) for tag in ("block1", "inxception")}
+    with tz.no_grad():
+        model.forward(x, capture=capture)
+    assert alive == [{"block1": False, "inxception": False}]
 
 
 @pytest.mark.parametrize("preset", ["desk", "full"])
@@ -83,13 +114,17 @@ def test_infer_matches_a_taped_forward_bitwise(preset):
         desk_config() if preset == "desk" else ModelConfig(), seed=5)
     x = np.random.default_rng(5).standard_normal(
         (3, 1, 19, 512)).astype(np.float32)
-    tags = tuple(model.capture_tags)
-    [(_, logits, captured)] = list(model.infer(x, 3, capture=tags))
-    taped, want = model.forward(Tensor(x), training=False, capture=tags)
+    captured, want = {}, {}
+    [(_, logits)] = list(model.infer(x, 3, capture={
+        tag: lambda _, data, tag=tag: captured.__setitem__(tag, data.copy())
+        for tag in model.capture_tags}))
+    taped = model.forward(Tensor(x), training=False, capture={
+        tag: lambda data, tag=tag: want.__setitem__(tag, data.copy())
+        for tag in model.capture_tags})
     assert taped.requires_grad
     assert logits.tobytes() == taped.data.tobytes()
-    assert set(captured) == set(want)
-    for tag in tags:
+    assert set(captured) == set(want) == set(model.capture_tags)
+    for tag in want:
         assert captured[tag].tobytes() == want[tag].tobytes()
 
 
@@ -138,7 +173,7 @@ def test_inference_in_another_thread_leaves_training_graphs_intact():
     other.forward = paused_forward
     logits = []
     thread = threading.Thread(target=lambda: logits.extend(
-        batch for _, batch, _ in other.infer(x, 4)))
+        batch for _, batch in other.infer(x, 4)))
     thread.start()
     try:
         assert inferring.wait(timeout=60)
@@ -307,9 +342,10 @@ def test_capture_tags():
     model = build_adhdeepnet(small_config(), seed=8)
     x = Tensor(np.random.default_rng(8).standard_normal(
         (1, 1, 19, 512)).astype(np.float32))
-    logits, captured = model.forward(x, training=False,
-                                     capture=("block1", "inxception",
-                                              "attention"))
+    captured = {}
+    model.forward(x, training=False, capture={
+        tag: lambda data, tag=tag: captured.__setitem__(tag, data.copy())
+        for tag in ("block1", "inxception", "attention")})
     assert set(captured) == {"block1", "inxception", "attention"}
     assert captured["block1"].shape == (1, 8, 1, 256)
     assert captured["inxception"].shape[1] == 16  # 4 branches x width 4
