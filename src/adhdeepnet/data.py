@@ -264,6 +264,8 @@ def generate_synthetic(subjects_per_class, seconds_per_subject, separation,
     """
     if not 0.0 <= separation <= 1.0:
         raise ValueError(f"separation must be in [0,1], got {separation}")
+    if not np.isfinite(seconds_per_subject):
+        raise ValueError(f"seconds must be finite, got {seconds_per_subject}")
     if subjects_per_class < 1 or seconds_per_subject * FS < WINDOW:
         raise ValueError("need at least one subject and one 4 s window each")
     n = int(seconds_per_subject * FS)

@@ -414,6 +414,13 @@ def _run_folds(tasks, workers, out_dir=None):
     return ordered
 
 
+def _refuse_duplicates(kind, ids):
+    """A repeated id would run its folds twice into one report."""
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise ValueError(f"duplicate {kind} ids {repeated}")
+
+
 def _run_protocol(recordings, combos, mode, k=10, seed=0, config=None,
                   hyperparams=None, tune_iterations=25, tune_seed_points=10,
                   tune_kappa=optimize.KAPPA_DEFAULT, workers=1,
@@ -429,6 +436,7 @@ def _run_protocol(recordings, combos, mode, k=10, seed=0, config=None,
     checked before any fold runs, also when fixed ``hyperparams`` leave
     them unused; they must be picklable when ``workers`` > 1."""
     optimize.check_search(tune_iterations, tune_seed_points, tune_kappa)
+    _refuse_duplicates("combo", [c.id for c in combos if c is not None])
     if inner_epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {inner_epochs} for the "
                          f"inner fits")
@@ -513,6 +521,7 @@ def ablation_run(recordings, variants=ABLATION_VARIANTS, k=10, seed=0,
     Returns {variant: EvalReport}; config hashes are distinct across
     variants (the builder name is folded into the hash). With ``out_dir``
     each variant's fold weights land in their own subdirectory."""
+    _refuse_duplicates("variant", list(variants))
     reports = {}
     for variant in variants:
         vconfig, build_fn = variant_config(variant, config)

@@ -451,8 +451,7 @@ def _check_layer_tags(model, layer_tags):
             f"{sorted(model.capture_tags)}")
 
 
-def layer_activations(model, trials, layer_tags=DEFAULT_LAYER_TAGS,
-                      batch_size=32):
+def layer_activations(model, trials, layer_tags=DEFAULT_LAYER_TAGS):
     """Flattened per-trial activation matrices at the tagged stages.
 
     ``Model.infer`` stacks one batch of windows at a time, and each tagged
@@ -477,11 +476,11 @@ def layer_activations(model, trials, layer_tags=DEFAULT_LAYER_TAGS,
             matrix[start:start + len(data)] = data.reshape(len(data), -1)
         return keep
 
-    next(model.infer(windows[:1], 1,
+    next(model.infer(windows[:1],
                      capture={tag: measure(tag) for tag in layer_tags}))
     rows = {tag: np.empty((len(windows), probe[tag][0]), probe[tag][1])
             for tag in layer_tags}
-    for _ in model.infer(windows, batch_size, capture={
+    for _ in model.infer(windows, capture={
             tag: copy_into(matrix) for tag, matrix in rows.items()}):
         pass
     return rows

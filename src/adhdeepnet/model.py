@@ -20,6 +20,13 @@ from . import tensor as tz
 from .tensor import ShapeError, Tensor, load_tensors, save_tensors
 
 
+# Trials per inference forward. Every op of the forward treats each row on
+# its own, so a trial's logits do not depend on this size or on the trials
+# that share its batch (tests/test_model.py checks this bit for bit); the
+# size only bounds the memory of one forward.
+INFERENCE_BATCH = 32
+
+
 class ConfigError(ValueError):
     """A model configuration violates a structural invariant."""
 
@@ -193,18 +200,18 @@ class Model:
                 keep(x.data)
         return x
 
-    def infer(self, x, batch_size, capture=None):
-        """Run N trials through ``forward(training=False)``, ``batch_size``
-        at a time; yields (start, logits) per batch, with the logits as an
-        array. ``x`` is an [N,1,E,T] array or a sequence of N [1,E,T]
-        arrays, stacked one batch at a time. ``capture`` maps tags to
-        callables, each called as keep(start, data) with the batch's output
-        of its stage as that stage returns. Each forward records no graph;
-        the grad-off state never spans a ``yield``, so a caller may train
-        between batches."""
+    def infer(self, x, capture=None):
+        """Run N trials through ``forward(training=False)``,
+        ``INFERENCE_BATCH`` at a time; yields (start, logits) per batch,
+        with the logits as an array. ``x`` is an [N,1,E,T] array or a
+        sequence of N [1,E,T] arrays, stacked one batch at a time.
+        ``capture`` maps tags to callables, each called as keep(start,
+        data) with the batch's output of its stage as that stage returns.
+        Each forward records no graph; the grad-off state never spans a
+        ``yield``, so a caller may train between batches."""
         capture = capture or {}
-        for start in range(0, len(x), batch_size):
-            batch = Tensor(x[start:start + batch_size])
+        for start in range(0, len(x), INFERENCE_BATCH):
+            batch = Tensor(x[start:start + INFERENCE_BATCH])
             taps = {tag: functools.partial(keep, start)
                     for tag, keep in capture.items()}
             with tz.no_grad():
@@ -214,10 +221,10 @@ class Model:
             yield start, logits
             del logits  # hold no batch while the next one runs
 
-    def predict_proba(self, x, batch_size=128):
+    def predict_proba(self, x):
         """Class probabilities for a [N,1,E,T] array, inference mode."""
         return np.concatenate([tz.softmax(Tensor(logits), axis=1).data
-                               for _, logits in self.infer(x, batch_size)])
+                               for _, logits in self.infer(x)])
 
     # -- parameters -----------------------------------------------------------
 

@@ -221,17 +221,8 @@ def se_excite(s: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
         raise ShapeError(
             f"se_excite shape chain broken: s {s.shape}, W1 {w1.shape}, "
             f"W2 {w2.shape}")
-    hidden = tz.relu(tz.matmul(s, _transpose(w1)))
-    return tz.sigmoid(tz.matmul(hidden, _transpose(w2)))
-
-
-def _transpose(t: Tensor) -> Tensor:
-    out = t.data.T.copy()
-
-    def backward(g):
-        return (g.T,)
-
-    return Tensor._from_op(out, (t,), backward)
+    hidden = tz.relu(tz.linear(s, w1))
+    return tz.sigmoid(tz.linear(hidden, w2))
 
 
 def se_reweight(feature_map: Tensor, gates: Tensor) -> Tensor:
@@ -290,14 +281,23 @@ def cross_entropy_loss(logits: Tensor, labels: Tensor) -> Tensor:
 # -- constraints ---------------------------------------------------------------------
 
 
+def finite_positive(name, value):
+    """``value`` as a float; ValueError naming ``name`` unless it is a
+    finite positive number."""
+    value = float(value)
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(
+            f"{name} must be a finite positive number, got {value}")
+    return value
+
+
 def apply_max_norm(weight: Tensor, norm_rate: float) -> None:
     """Rescale rows of a dense weight whose L2 norm exceeds ``norm_rate``.
 
     In place; rows already within the bound are untouched, so the operation
     is idempotent.
     """
-    if norm_rate <= 0:
-        raise ValueError(f"norm_rate must be positive, got {norm_rate}")
+    norm_rate = finite_positive("norm_rate", norm_rate)
     w = weight.data
     norms = np.linalg.norm(w.astype(np.float64), axis=1)
     over = norms > norm_rate
@@ -314,10 +314,7 @@ class Optimizer:
     kind = "Optimizer"
 
     def __init__(self, learning_rate):
-        if learning_rate <= 0:
-            raise ValueError(
-                f"learning_rate must be positive, got {learning_rate}")
-        self.learning_rate = float(learning_rate)
+        self.learning_rate = finite_positive("learning_rate", learning_rate)
         self._state = {}
 
     def _slot(self, index, param, names):

@@ -1,6 +1,6 @@
 """Minimal n-dimensional tensors with reverse-mode automatic differentiation.
 
-Covers exactly the operations the EEG classifier needs: dense matmul,
+Covers exactly the operations the EEG classifier needs: dense layers,
 2-D/depthwise/separable convolution, batch normalization, ELU/ReLU/sigmoid/
 softmax, average and global-average pooling, dropout, and the reductions
 used by the loss. Data is float32 by default (float64 supported, e.g. for
@@ -201,9 +201,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, _ensure_tensor(-1.0, self.dtype))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
 
@@ -338,32 +335,30 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 # -- linear algebra -----------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul needs [m,k] x [k,n], got {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-    out = ad @ bd
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Dense layer y = x @ W^T (+ b) with W of shape [out, in].
 
-    def backward(g):
-        return g @ bd.T, ad.T @ g
-
-    return Tensor._from_op(out, (a, b), backward)
-
-
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Dense layer y = x @ W^T + b with W of shape [out, in]."""
+    The forward takes one matrix product per row, so a row's output does
+    not depend on how many rows share the call: a single GEMM over all
+    rows lets BLAS pick its kernel, and so its rounding, by the row count.
+    The backward's products stay whole GEMMs.
+    """
     if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise ShapeError(
             f"linear needs x [n,in] and weight [out,in], got {x.shape} and "
             f"{weight.shape}")
     xd, wd = x.data, weight.data
-    out = xd @ wd.T + bias.data
+    with_bias = bias is not None
+    out = np.matmul(xd[:, None, :], wd.T)[:, 0]
+    if with_bias:
+        out += bias.data
 
     def backward(g):
-        return g @ wd, g.T @ xd, g.sum(axis=0)
+        grads = g @ wd, g.T @ xd
+        return grads + (g.sum(axis=0),) if with_bias else grads
 
-    return Tensor._from_op(out, (x, weight, bias), backward)
+    parents = (x, weight, bias) if with_bias else (x, weight)
+    return Tensor._from_op(out, parents, backward)
 
 
 # -- shape manipulation --------------------------------------------------------

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import build_adhdeepnet
-from .nn import apply_max_norm, cross_entropy_loss, make_optimizer
+from .nn import (apply_max_norm, cross_entropy_loss, finite_positive,
+                 make_optimizer)
 from .tensor import Tensor
 
 
@@ -94,11 +95,10 @@ class Trainer:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         config = replace(self.base_config,
                          dropout_rate=float(hp["dropout_rate"]))
+        optimizer = make_optimizer(hp["optimizer_kind"], hp["learning_rate"])
+        norm_rate = finite_positive("norm_rate", hp["norm_rate"])
         rng = np.random.default_rng([seed, 101])
         model = self.build_fn(config, seed=seed)
-        optimizer = make_optimizer(hp["optimizer_kind"],
-                                   float(hp["learning_rate"]))
-        norm_rate = float(hp["norm_rate"])
 
         x, y = trials_to_arrays(train_trials)
         xv = yv = None
@@ -137,7 +137,7 @@ class Trainer:
                 print(f"[epoch {epoch}] loss={result.train_losses[-1]:.6g}",
                       file=sys.stderr)
                 continue
-            val = _finite_loss(self.evaluate_loss(model, xv, yv, batch_size),
+            val = _finite_loss(self.evaluate_loss(model, xv, yv),
                                epoch, "validation")
             result.val_losses.append(val)
             print(f"[epoch {epoch}] loss={result.train_losses[-1]:.6g} "
@@ -156,14 +156,13 @@ class Trainer:
             _restore(model, best_snap)
         return model, result
 
-    def evaluate_loss(self, model, x, y, batch_size=128):
-        """Mean per-sample cross-entropy in inference mode."""
-        total = 0.0
-        for start, logits in model.infer(x, batch_size):
-            yb = Tensor(y[start:start + batch_size])
-            total += float(cross_entropy_loss(Tensor(logits), yb).data)
-        return total / len(x)
+    def evaluate_loss(self, model, x, y):
+        """Mean per-sample cross-entropy in inference mode, taken as one
+        sum over all N trials, so its bits do not depend on the batches."""
+        logits = np.concatenate([batch for _, batch in model.infer(x)])
+        return float(cross_entropy_loss(Tensor(logits), Tensor(y)).data) \
+            / len(x)
 
-    def predict_proba(self, model, trials, batch_size=128):
+    def predict_proba(self, model, trials):
         """Per-trial class probabilities, inference mode, [N,2]."""
-        return model.predict_proba(trials_to_arrays(trials)[0], batch_size)
+        return model.predict_proba(trials_to_arrays(trials)[0])

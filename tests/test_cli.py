@@ -481,6 +481,50 @@ def test_out_of_range_fraction_and_workers_fail_before_any_forward(
     assert written <= {"run_config.json"}
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("train", "--epochs", "2", "--learning-rate", "nan"),
+     "learning_rate must be a finite positive number, got nan"),
+    (("train", "--epochs", "2", "--learning-rate", "inf"),
+     "learning_rate must be a finite positive number, got inf"),
+    (("train", "--epochs", "2", "--norm-rate", "nan"),
+     "norm_rate must be a finite positive number, got nan"),
+    (("evaluate", *FOLDS, *FAST_FIT, "--norm-rate", "inf"),
+     "norm_rate must be a finite positive number, got inf"),
+    (("evaluate", *FOLDS, *FAST_FIT, "--mode", "da", "--combos",
+      "C1,C10,C1"), "duplicate combo ids ['C1']"),
+    (("ablate", *FOLDS, *FAST_FIT, "--variants", "eegnet,full,eegnet"),
+     "duplicate variant ids ['eegnet']"),
+], ids=["train-lr-nan", "train-lr-inf", "train-norm-nan", "evaluate-norm-inf",
+        "evaluate-duplicate-combo", "ablate-duplicate-variant"])
+def test_non_finite_rates_and_duplicate_ids_fail_before_any_forward(
+        dataset_dir, tmp_path, capsys, monkeypatch, argv, message):
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a forward pass ran")  # would exit 2
+
+    monkeypatch.setattr(Model, "forward", no_forward)
+    out = tmp_path / "run"
+    code = run_cli(*argv, "--data", str(dataset_dir), "--out", str(out),
+                   "--seed", "3", *TINY_MODEL)
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    written = {p.name for p in out.rglob("*") if p.is_file()}
+    assert written <= {"run_config.json", "report.partial.json"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth", "--seconds", "inf"),
+    ("synth", "--seconds", "nan"),
+    ("train", "--data", "synth:subjects=4,seconds=inf"),
+    ("evaluate", "--data", "synth:subjects=4,seconds=nan"),
+], ids=["synth-inf", "synth-nan", "train-spec-inf", "evaluate-spec-nan"])
+def test_non_finite_synth_seconds_is_user_error(tmp_path, capsys, argv):
+    code = run_cli(*argv, "--out", str(tmp_path / "run"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: seconds must be finite, got " in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command,payload,message", [
     ("evaluate", {"model": 5}, "config field model must be an object, got 5"),
     ("evaluate", {"bo": []}, "config field bo must be an object, got []"),

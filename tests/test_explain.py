@@ -28,6 +28,7 @@ from adhdeepnet.explain import (
     _tsne_kernel,
     _tsne_setup,
 )
+from adhdeepnet import model as model_module
 from adhdeepnet.model import ModelConfig, build_adhdeepnet, \
     build_eegnet_baseline, desk_config
 
@@ -498,49 +499,49 @@ def test_layer_activations_shapes_and_tags():
         assert np.all(np.isfinite(matrix))
 
 
-def test_layer_activations_do_not_depend_on_batch_size():
+def test_layer_activations_do_not_depend_on_batch_size(monkeypatch):
     model = tiny_model(seed=2)
     trials = synthetic_trials(3, 48, seed=5)[:70]  # batch 64 leaves 6 over
-    one = layer_activations(model, trials, batch_size=1)
-    many = layer_activations(model, trials, batch_size=64)
+    monkeypatch.setattr(model_module, "INFERENCE_BATCH", 1)
+    one = layer_activations(model, trials)
+    monkeypatch.setattr(model_module, "INFERENCE_BATCH", 64)
+    many = layer_activations(model, trials)
     assert set(one) == set(many)
     for tag, matrix in many.items():
-        assert one[tag].shape == matrix.shape == (70, matrix.shape[1])
-        # only BLAS rounding may differ between batch sizes: within 1e-5
-        # of the largest activation
-        scale = float(np.abs(matrix).max())
-        np.testing.assert_allclose(one[tag], matrix, rtol=0,
-                                   atol=1e-5 * scale)
+        assert matrix.shape == (70, matrix.shape[1])
+        assert_same_bytes(one[tag], matrix)
 
 
 def test_layer_activations_stack_the_batches_bitwise():
     model = tiny_model(seed=2)
     trials = synthetic_trials(3, 48, seed=5)[:70]  # batch 32 leaves 6 over
     windows = np.stack([t.window for t in trials])[:, None, :, :]
-    acts = layer_activations(model, trials, batch_size=32)
+    acts = layer_activations(model, trials)
     tags = tuple(acts)
     batches = {tag: [] for tag in tags}
     capture = {tag: lambda _, data, tag=tag: batches[tag].append(data.copy())
                for tag in tags}
-    for _ in model.infer(windows, 32, capture=capture):
+    for _ in model.infer(windows, capture=capture):
         pass
     for tag in tags:
         assert_same_bytes(acts[tag], np.concatenate(
             [b.reshape(len(b), -1) for b in batches[tag]]))
 
 
-def test_layer_activations_memory_does_not_grow_with_the_trial_count():
+def test_layer_activations_memory_does_not_grow_with_the_trial_count(
+        monkeypatch):
     """Beyond its output matrices, layer_activations holds one batch's
     forward and no stack of every window."""
+    monkeypatch.setattr(model_module, "INFERENCE_BATCH", 8)
     model = tiny_model(seed=2)
     trials = synthetic_trials(4, 64, seed=5)[:64]
-    layer_activations(model, trials[:8], batch_size=8)  # warm caches
+    layer_activations(model, trials[:8])  # warm caches
     beyond = []
     for n in (32, 64):
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            acts = layer_activations(model, trials[:n], batch_size=8)
+            acts = layer_activations(model, trials[:n])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

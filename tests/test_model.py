@@ -9,9 +9,11 @@ import weakref
 import numpy as np
 import pytest
 
+from adhdeepnet import model as model_module
 from adhdeepnet.model import (ConfigError, ModelConfig, build_adhdeepnet,
                               build_eegnet_baseline, desk_config,
                               parameter_count, predict_segment)
+from adhdeepnet.evaluate import variant_config
 from adhdeepnet.nn import cross_entropy_loss
 from adhdeepnet import tensor as tz
 from adhdeepnet.tensor import ShapeError, Tensor, grad_enabled
@@ -40,13 +42,14 @@ def test_forward_shape_and_softmax():
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 
-def test_infer_batches_cover_a_ragged_input_in_order():
+def test_infer_batches_cover_a_ragged_input_in_order(monkeypatch):
+    monkeypatch.setattr(model_module, "INFERENCE_BATCH", 4)
     model = build_adhdeepnet(small_config(), seed=0)
     x = np.random.default_rng(1).standard_normal(
         (11, 1, 19, 512)).astype(np.float32)
     seen = []
     capture = {"block1": lambda start, data: seen.append((start, len(data)))}
-    batches = list(model.infer(x, 4, capture=capture))
+    batches = list(model.infer(x, capture=capture))
     assert [start for start, _ in batches] == [0, 4, 8]
     assert [len(logits) for _, logits in batches] == [4, 4, 3]
     assert seen == [(0, 4), (4, 4), (8, 3)]
@@ -57,16 +60,17 @@ def test_infer_batches_cover_a_ragged_input_in_order():
         np.testing.assert_array_equal(logits, single)
     # a sequence of [1,E,T] windows is stacked one batch at a time
     windows = [w for w in x]
-    for (_, want), (_, got) in zip(batches, model.infer(windows, 4)):
+    for (_, want), (_, got) in zip(batches, model.infer(windows)):
         assert_same_bytes(got, want)
 
 
-def test_infer_holds_no_batch_while_the_next_one_runs():
+def test_infer_holds_no_batch_while_the_next_one_runs(monkeypatch):
+    monkeypatch.setattr(model_module, "INFERENCE_BATCH", 2)
     model = build_adhdeepnet(small_config(), seed=0)
     x = np.random.default_rng(2).standard_normal(
         (4, 1, 19, 512)).astype(np.float32)
     held = []
-    batches = model.infer(list(x), 2, capture={
+    batches = model.infer(list(x), capture={
         "block1": lambda _, data: held.append(weakref.ref(data))})
     _, logits = next(batches)
     held.append(weakref.ref(logits))
@@ -115,7 +119,7 @@ def test_infer_matches_a_taped_forward_bitwise(preset):
     x = np.random.default_rng(5).standard_normal(
         (3, 1, 19, 512)).astype(np.float32)
     captured, want = {}, {}
-    [(_, logits)] = list(model.infer(x, 3, capture={
+    [(_, logits)] = list(model.infer(x, capture={
         tag: lambda _, data, tag=tag: captured.__setitem__(tag, data.copy())
         for tag in model.capture_tags}))
     taped = model.forward(Tensor(x), training=False, capture={
@@ -128,12 +132,35 @@ def test_infer_matches_a_taped_forward_bitwise(preset):
         assert captured[tag].tobytes() == want[tag].tobytes()
 
 
-def test_training_between_or_after_infer_batches_records_graphs():
+@pytest.mark.parametrize("variant", ["desk", "full", "inxception-only",
+                                     "se-only", "eegnet"])
+def test_probabilities_do_not_depend_on_the_inference_batch(monkeypatch,
+                                                            variant):
+    if variant in ("desk", "full"):
+        config = desk_config() if variant == "desk" else ModelConfig()
+        model = build_adhdeepnet(config, seed=3)
+    else:
+        config, build = variant_config(variant, desk_config())
+        model = build(config, seed=3)
+    n = 40
+    x = np.random.default_rng(1).standard_normal(
+        (n, 1, 19, 512)).astype(np.float32)
+    probs = {}
+    for batch in (1, 2, 3, 7, 32, n):
+        monkeypatch.setattr(model_module, "INFERENCE_BATCH", batch)
+        probs[batch] = model.predict_proba(x)
+    for batch, got in probs.items():
+        assert_same_bytes(got, probs[n])
+
+
+def test_training_between_or_after_infer_batches_records_graphs(
+        monkeypatch):
+    monkeypatch.setattr(model_module, "INFERENCE_BATCH", 2)
     model = build_adhdeepnet(small_config(), seed=3)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((6, 1, 19, 512)).astype(np.float32)
     y = Tensor(np.eye(2, dtype=np.float32)[[0, 1, 0, 1]])
-    batches = model.infer(x, 2)
+    batches = model.infer(x)
     for _ in range(2):
         next(batches)  # suspended at a yield: gradients stay on
         assert grad_enabled()
@@ -173,7 +200,7 @@ def test_inference_in_another_thread_leaves_training_graphs_intact():
     other.forward = paused_forward
     logits = []
     thread = threading.Thread(target=lambda: logits.extend(
-        batch for _, batch in other.infer(x, 4)))
+        batch for _, batch in other.infer(x)))
     thread.start()
     try:
         assert inferring.wait(timeout=60)
@@ -187,7 +214,7 @@ def test_inference_in_another_thread_leaves_training_graphs_intact():
     for name in want:
         assert_same_bytes(got[name], want[name])
     other.forward = forward
-    assert_same_bytes(logits[0], next(other.infer(x, 4))[1])
+    assert_same_bytes(logits[0], next(other.infer(x))[1])
 
 
 def _nested_code(code):
@@ -216,22 +243,25 @@ def test_conv_kernels_call_no_einsum(monkeypatch):
         (4, 1, 19, 512)).astype(np.float32)
     y = Tensor(np.eye(2, dtype=np.float32)[[0, 1, 0, 1]])
     _step_gradients(model, x, y, 6)
-    next(model.infer(x, 4))
+    next(model.infer(x))
     assert calls, "the guard saw no einsum call at all"  # the stem's variance
 
 
 def test_full_model_inference_keeps_no_graph():
-    # with the training graph kept, 64 trials at batch 64 peak near 351 MiB
+    # 128 trials peak near 43 MiB in batches of 32; in one batch of 128
+    # they peaked near 172 MiB, and with the training graph kept 64 trials
+    # at batch 64 peaked near 351 MiB
+    assert model_module.INFERENCE_BATCH == 32
     model = build_adhdeepnet(ModelConfig(), seed=0)
     x = np.random.default_rng(0).standard_normal(
-        (64, 1, 19, 512)).astype(np.float32)
+        (128, 1, 19, 512)).astype(np.float32)
     tracemalloc.start()
     try:
-        model.predict_proba(x, batch_size=64)
+        model.predict_proba(x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / 2 ** 20 < 150
+    assert peak / 2 ** 20 < 64
 
 
 def test_param_count_deterministic_across_builds():

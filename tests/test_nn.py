@@ -235,6 +235,15 @@ def test_max_norm_bound_holds():
     assert np.all(norms <= 0.7 + 1e-6)
 
 
+@pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
+def test_max_norm_rejects_a_rate_that_is_not_finite_and_positive(rate):
+    w = Tensor(np.array([[3.0, 4.0]], dtype=np.float32))
+    with pytest.raises(ValueError, match="norm_rate must be a finite "
+                       "positive number"):
+        nn.apply_max_norm(w, rate)
+    np.testing.assert_array_equal(w.data, [[3.0, 4.0]])
+
+
 # -- optimizers -----------------------------------------------------------------------
 
 
@@ -317,8 +326,11 @@ def test_make_optimizer_rejects_unknown():
 
 
 def test_optimizer_rejects_nonpositive_lr():
-    with pytest.raises(ValueError):
-        nn.Adam(0.0)
+    for kind in nn.OPTIMIZERS:
+        for lr in (0.0, -1e-3, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="learning_rate must be a "
+                               "finite positive number"):
+                nn.make_optimizer(kind, lr)
 
 
 # -- layers ------------------------------------------------------------------------------

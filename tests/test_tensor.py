@@ -14,50 +14,14 @@ from scipy import fft as sfft
 from adhdeepnet.tensor import (GraphError, ShapeError, Tensor, avg_pool,
                                batch_norm, concat, conv2d, depthwise_conv2d,
                                dropout, elu, global_avg_pool, grad_enabled,
-                               linear, load_tensors, log_softmax, matmul,
-                               no_grad, relu, save_tensors, separable_conv2d,
-                               sigmoid, softmax)
+                               linear, load_tensors, log_softmax, no_grad,
+                               relu, save_tensors, separable_conv2d, sigmoid,
+                               softmax)
 from adhdeepnet.tensor import _conv_geometry, _padded_spectrum
 
 from conftest import (assert_same_bytes, avg_pool_oracle, batch_norm_oracle,
                       check_gradients, conv2d_oracle, depthwise_oracle,
                       dropout_oracle, elu_oracle, probe_weights)
-
-
-# -- matmul -------------------------------------------------------------------
-
-
-def test_matmul_identity():
-    a = Tensor(np.eye(2))
-    b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-    np.testing.assert_allclose(matmul(a, b).data, [[5, 6], [7, 8]])
-
-
-def test_matmul_hand_dot():
-    out = matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
-    np.testing.assert_allclose(out.data, [[11.0]])
-
-
-def test_matmul_gradient_hand():
-    a = Tensor([[1.0, 2.0]], requires_grad=True)
-    b = Tensor([[3.0], [4.0]])
-    matmul(a, b).sum().backward()
-    np.testing.assert_allclose(a.grad, [[3.0, 4.0]])
-
-
-def test_matmul_shape_error_names_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-
-
-def test_matmul_gradcheck():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((4, 2))
-    w = probe_weights((3, 2))
-    check_gradients(
-        lambda ts: (matmul(ts[0], ts[1]) * Tensor(w, dtype=np.float64)).sum(),
-        [a, b])
 
 
 # -- elementwise / linear --------------------------------------------------------
@@ -80,6 +44,49 @@ def test_linear_matches_manual():
     b = rng.standard_normal(2).astype(np.float32)
     out = linear(Tensor(x), Tensor(wt), Tensor(b))
     np.testing.assert_allclose(out.data, x @ wt.T + b, rtol=1e-6)
+
+
+# Without a bias, linear(x, w) is the matrix product x @ w.T: the two checks
+# below pin that product by hand.
+
+
+def test_matmul_identity():
+    b = Tensor([[5.0, 6.0], [7.0, 8.0]])
+    np.testing.assert_allclose(linear(b, Tensor(np.eye(2))).data,
+                               [[5, 6], [7, 8]])
+    np.testing.assert_allclose(linear(Tensor(np.eye(2)), b).data,
+                               [[5, 7], [6, 8]])
+
+
+def test_matmul_hand_dot():
+    out = linear(Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]]))
+    np.testing.assert_allclose(out.data, [[11.0]])
+
+
+def test_linear_shape_error_names_shapes():
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 2\)"):
+        linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+
+
+def test_linear_without_bias_gradcheck():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((3, 4))
+    wt = rng.standard_normal((2, 4))
+    w = probe_weights((3, 2))
+    check_gradients(
+        lambda ts: (linear(ts[0], ts[1]) * Tensor(w, dtype=np.float64)).sum(),
+        [x, wt])
+
+
+@pytest.mark.parametrize("bias", [False, True])
+def test_linear_rows_do_not_depend_on_the_row_count(bias):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((130, 288)).astype(np.float32)
+    wt = Tensor(rng.standard_normal((36, 288)).astype(np.float32))
+    b = Tensor(rng.standard_normal(36).astype(np.float32)) if bias else None
+    whole = linear(Tensor(x), wt, b).data
+    for n in (1, 2, 3, 7, 32, 129):
+        assert_same_bytes(linear(Tensor(x[:n]), wt, b).data, whole[:n])
 
 
 def test_linear_gradcheck():
@@ -886,9 +893,9 @@ def test_forward_determinism():
 
 def test_no_grad_ops_return_leaves():
     w = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-    x = Tensor(np.array([[3.0], [4.0]]))
+    x = Tensor(np.array([[3.0, 4.0]]))
     with no_grad():
-        out = (elu(matmul(w, x)) * 2.0).sum()
+        out = (elu(linear(w, x)) * 2.0).sum()
     assert not out.requires_grad
     assert out._parents == () and out._backward_fn is None
     np.testing.assert_array_equal(out.data, 22.0)
