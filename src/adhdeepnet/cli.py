@@ -47,10 +47,9 @@ import numpy as np
 from .augment import enumerate_combos
 from .data import (PlanningError, atomic_write_text, canonical_json,
                    generate_synthetic, load_dataset, save_dataset,
-                   segment_all)
-from .evaluate import (ABLATION_VARIANTS, DEFAULT_HYPERPARAMS,
-                       _validation_slice, ablation_run, evaluate_no_da,
-                       evaluate_with_da)
+                   segment_all, validation_slice)
+from .evaluate import (ABLATION_VARIANTS, DEFAULT_HYPERPARAMS, ablation_run,
+                       evaluate_no_da, evaluate_with_da)
 from .explain import DEFAULT_LAYER_TAGS, export_analysis
 from .model import ModelConfig, build_adhdeepnet, desk_config
 from .nn import OPTIMIZERS
@@ -260,7 +259,13 @@ def _parse_synth_spec(source, default_seed):
             raise ValueError(
                 f"bad synth spec entry {item!r}; expected "
                 + "/".join(f"{name}=" for name in params))
-        params[key] = type(params[key])(raw)
+        kind = type(params[key])
+        try:
+            params[key] = kind(raw)
+        except ValueError:
+            raise ValueError(
+                f"bad synth spec value {key}={raw!r}: {key} must be "
+                f"{'an integer' if kind is int else 'a number'}") from None
     _check_subject_count(params["subjects"])
     return params
 
@@ -330,7 +335,7 @@ def cmd_train(config):
     train_trials, val = trials, None
     if val_fraction > 0:
         rng = np.random.default_rng([config.seed, 311])
-        train_trials, val = _validation_slice(trials, rng, val_fraction)
+        train_trials, val = validation_slice(trials, rng, val_fraction)
     trainer = Trainer(model_config, epochs=opts["epochs"],
                       patience=opts["patience"])
     _progress(f"training on {len(train_trials)} trials "

@@ -200,6 +200,54 @@ def plan_folds(recordings, k=10, seed=0, tolerance=0.10, max_attempts=1000):
         f"deviation {best_dev:.1%} with per-fold counts {best_plan}")
 
 
+# -- subject-disjoint splits ------------------------------------------------------
+
+
+class LeakageError(AssertionError):
+    """A subject reached both sides of a train/test boundary."""
+
+
+def subjects_by_label(trials):
+    """{label: sorted subject ids} in ``LABELS`` order; a class without
+    trials maps to an empty list."""
+    pairs = {(t.label, t.subject_id) for t in trials}
+    return {label: sorted(s for lab, s in pairs if lab == label)
+            for label in LABELS}
+
+
+def check_disjoint(a, b, context):
+    """Raise ``LeakageError`` naming ``context`` if a subject has trials in
+    both ``a`` and ``b``."""
+    overlap = {t.subject_id for t in a} & {t.subject_id for t in b}
+    if overlap:
+        raise LeakageError(
+            f"{context}: subjects on both sides: {sorted(overlap)[:5]}")
+
+
+def split_subjects(trials, held, context):
+    """(rest, held) trial lists, each in the order of ``trials``: a trial
+    goes to the held side when its subject is in ``held``. The boundary is
+    checked, naming ``context``."""
+    rest = [t for t in trials if t.subject_id not in held]
+    taken = [t for t in trials if t.subject_id in held]
+    check_disjoint(rest, taken, context)
+    return rest, taken
+
+
+def validation_slice(trials, rng, fraction=0.10, context="validation slice"):
+    """(core, val): hold out about ``fraction`` of the subjects of each
+    class (at least one) for early stopping, keeping every class in the
+    core. When a class cannot spare a subject, returns (trials, [])."""
+    held = set()
+    for subjects in subjects_by_label(trials).values():
+        n_hold = max(1, round(fraction * len(subjects)))
+        if len(subjects) - n_hold < 1:
+            return trials, []
+        picks = rng.choice(len(subjects), size=n_hold, replace=False)
+        held.update(subjects[i] for i in picks)
+    return split_subjects(trials, held, context)
+
+
 # -- subject-level aggregation ------------------------------------------------------
 
 

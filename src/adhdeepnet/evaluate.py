@@ -26,8 +26,9 @@ import numpy as np
 
 from . import optimize
 from .augment import augment_training_set, enumerate_combos
-from .data import (LABELS, aggregate_subject, atomic_write_text, class_index,
-                   plan_folds, segment_all)
+from .data import (LeakageError, aggregate_subject, atomic_write_text,
+                   check_disjoint, class_index, plan_folds, segment_all,
+                   validation_slice)
 from .model import (ModelConfig, build_adhdeepnet, build_eegnet_baseline)
 from .train import Trainer
 
@@ -42,10 +43,6 @@ DEFAULT_HYPERPARAMS = {
 }
 
 ABLATION_VARIANTS = ("full", "inxception-only", "se-only", "eegnet")
-
-
-class LeakageError(AssertionError):
-    """A subject reached both sides of a train/test boundary."""
 
 
 # -- metrics ------------------------------------------------------------------------
@@ -216,34 +213,6 @@ def _fold_seed(seed, fold):
     return int(ss.generate_state(1)[0])
 
 
-def _assert_subject_disjoint(train_trials, test_trials, context):
-    train_subjects = {t.subject_id for t in train_trials}
-    test_subjects = {t.subject_id for t in test_trials}
-    overlap = train_subjects & test_subjects
-    if overlap:
-        raise LeakageError(
-            f"{context}: subjects on both sides: {sorted(overlap)[:5]}")
-
-
-def _validation_slice(train_trials, rng, fraction=0.10):
-    """Hold out about ``fraction`` of training subjects (>=1 per class) for
-    early stopping, keeping every class represented in the remainder."""
-    by_label = {}
-    for t in train_trials:
-        by_label.setdefault(t.label, set()).add(t.subject_id)
-    held = set()
-    for label in LABELS:
-        subjects = sorted(by_label.get(label, ()))
-        n_hold = max(1, round(fraction * len(subjects)))
-        if len(subjects) - n_hold < 1:
-            return train_trials, []  # too small to spare a slice
-        picks = rng.choice(len(subjects), size=n_hold, replace=False)
-        held.update(subjects[i] for i in picks)
-    core = [t for t in train_trials if t.subject_id not in held]
-    val = [t for t in train_trials if t.subject_id in held]
-    return core, val
-
-
 def _score_model(trainer, model, test_trials):
     probs = trainer.predict_proba(model, test_trials)
     actual = np.asarray([class_index(t.label) for t in test_trials])
@@ -282,7 +251,7 @@ def run_fold(task):
     seed = task["seed"]
     print(f"[fold {fold}] start train_trials={len(train_trials)} "
           f"test_trials={len(test_trials)}", file=sys.stderr)
-    _assert_subject_disjoint(train_trials, test_trials, f"fold {fold}")
+    check_disjoint(train_trials, test_trials, f"fold {fold}")
     fold_seed = _fold_seed(seed, fold)
     final = task["final"]
     hyperparams = task["hyperparams"]
@@ -296,9 +265,8 @@ def run_fold(task):
         tuning_evaluations = len(tuned.history)
 
     rng = np.random.default_rng([seed, fold, 17])
-    core, val = _validation_slice(train_trials, rng)
-    if val:
-        _assert_subject_disjoint(core, val, f"fold {fold} validation slice")
+    core, val = validation_slice(
+        train_trials, rng, context=f"fold {fold} validation slice")
 
     records = []
     train_subjects = {t.subject_id for t in train_trials}

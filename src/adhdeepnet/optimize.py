@@ -32,7 +32,8 @@ from itertools import product
 import numpy as np
 from scipy.special import ndtr
 
-from .data import LABELS, class_index
+from .data import (LeakageError, class_index, split_subjects,
+                   subjects_by_label)
 
 KAPPA_DEFAULT = 0.1
 N_CANDIDATES = 2048  # continuous Sobol points per proposal
@@ -458,32 +459,21 @@ def propose_next(history, space, kappa=KAPPA_DEFAULT, seed=0):
 def stratified_bipartition(trials, rng):
     """Split trials into two subject-disjoint halves, class-stratified.
 
-    Each half receives about half the subjects of each class; both halves
-    are guaranteed both classes (needs >= 2 subjects per class).
+    Each half receives about half the subjects of each class, the first
+    half the larger share, so both halves hold both classes (needs >= 2
+    subjects per class). Each half keeps the order of ``trials``.
     """
-    subject_label = {}
-    for t in trials:
-        subject_label.setdefault(t.subject_id, t.label)
-    by_label = {lab: sorted(s for s, l in subject_label.items() if l == lab)
-                for lab in LABELS}
+    by_label = subjects_by_label(trials)
     for lab, subs in by_label.items():
         if len(subs) < 2:
             raise ObjectiveError(
                 f"inner split needs >= 2 {lab} subjects, got {len(subs)}")
     first = set()
-    for lab in LABELS:
-        subs = list(by_label[lab])
+    for subs in by_label.values():
         rng.shuffle(subs)
         first.update(subs[:len(subs) // 2 + len(subs) % 2])
-    split1 = [t for t in trials if t.subject_id in first]
-    split2 = [t for t in trials if t.subject_id not in first]
-    got1 = {t.label for t in split1}
-    got2 = {t.label for t in split2}
-    assert got1 == set(LABELS) and got2 == set(LABELS), \
-        "stratified split lost a class"
-    assert not ({t.subject_id for t in split1}
-                & {t.subject_id for t in split2}), "subject leakage"
-    return split1, split2
+    second_half, first_half = split_subjects(trials, first, "inner split")
+    return first_half, second_half
 
 
 def make_inner_objective(trainer, trials, base_seed):
@@ -571,15 +561,19 @@ def tune(trials, trainer, space=None, iterations=100, seed=0,
     Each iteration draws a fresh subject-disjoint stratified bipartition of
     the training trials and scores the candidate by negative pooled
     accuracy across both directions. An evaluation that raises scores 0,
-    the worst possible g. Returns the ``BoResult``, whose ``best_params``
-    is the plain parameter dict that scored best.
+    the worst possible g, except a ``LeakageError``, which ends the run.
+    Returns the ``BoResult``, whose ``best_params`` is the plain parameter
+    dict that scored best.
     """
     space = space or default_space()
-    subjects = {t.subject_id for t in trials}
-    if len(subjects) < 4:
+    by_label = subjects_by_label(trials)
+    if any(len(subs) < 2 for subs in by_label.values()):
+        got = " and ".join(f"{len(subs)} {lab}"
+                           for lab, subs in by_label.items())
         raise TuningError(
-            f"tuning needs at least 4 subjects, got {len(subjects)}; an "
-            f"evaluation can skip it per fold (bo.tune false, --no-tune)")
+            f"tuning needs at least 4 subjects, 2 of each class for the "
+            f"inner halves, got {got}; an evaluation can skip it per fold "
+            f"(bo.tune false, --no-tune)")
     inner = make_inner_objective(trainer, trials, base_seed=seed)
     counter = {"t": -1}
 
@@ -587,6 +581,8 @@ def tune(trials, trainer, space=None, iterations=100, seed=0,
         counter["t"] += 1
         try:
             return inner(params, counter["t"])
+        except LeakageError:
+            raise
         except Exception:
             return 0.0
 

@@ -7,6 +7,11 @@ batch and then re-applies the max-norm constraint to the classifier rows.
 Early stopping watches the validation loss (inference mode) and restores
 the best-epoch weights. A non-finite training or validation loss stops the
 fit with ``DivergenceError``.
+
+Fits and scores take trial lists and stack one batch at a time: a
+training step stacks the windows of its batch's trials, and the
+validation loss and ``predict_proba`` hand the trials' window views to
+``Model.infer``. No fit or score holds a stacked copy of its whole set.
 """
 
 from __future__ import annotations
@@ -33,14 +38,25 @@ def _finite_loss(value, epoch, which):
     return value
 
 
+def _labels(trials):
+    """One-hot labels [N,2], float32."""
+    return np.asarray([t.label_vector for t in trials], dtype=np.float32)
+
+
 def trials_to_arrays(trials):
     """Stack trials into network inputs [N,1,E,T] and one-hot labels [N,2]."""
     if len(trials) == 0:
         raise ValueError("no trials to stack")
     # cast while stacking: one [N,E,T] copy, not a stack and then its cast
     x = np.stack([t.window for t in trials], dtype=np.float32)[:, None]
-    y = np.asarray([t.label_vector for t in trials], dtype=np.float32)
-    return x, y
+    return x, _labels(trials)
+
+
+def _windows(trials):
+    """Each trial's window as a [1,E,T] float32 view (a copy only when the
+    window is another dtype), for ``Model.infer`` to stack a batch at a
+    time."""
+    return [t.window.astype(np.float32, copy=False)[None] for t in trials]
 
 
 @dataclass
@@ -89,21 +105,18 @@ class Trainer:
         improvement and restores the best weights. Raises DivergenceError
         on a non-finite batch or validation loss.
         """
+        if len(train_trials) == 0:
+            raise ValueError("no trials to train on")
         hp = dict(hyperparams)
         batch_size = int(hp["batch_size"])
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if batch_size < 2:  # batch statistics need two trials
+            raise ValueError(f"batch_size must be >= 2, got {batch_size}")
         config = replace(self.base_config,
                          dropout_rate=float(hp["dropout_rate"]))
         optimizer = make_optimizer(hp["optimizer_kind"], hp["learning_rate"])
         norm_rate = finite_positive("norm_rate", hp["norm_rate"])
         rng = np.random.default_rng([seed, 101])
         model = self.build_fn(config, seed=seed)
-
-        x, y = trials_to_arrays(train_trials)
-        xv = yv = None
-        if val_trials:
-            xv, yv = trials_to_arrays(val_trials)
 
         params = model.parameters()
         result = FitResult()
@@ -112,17 +125,17 @@ class Trainer:
         stale = 0
 
         for epoch in range(self.epochs):
-            perm = rng.permutation(len(x))
+            perm = rng.permutation(len(train_trials))
             total = 0.0
             seen = 0
             for start in range(0, len(perm), batch_size):
                 idx = perm[start:start + batch_size]
                 if len(idx) == 1 and len(perm) > 1:
                     continue  # a singleton batch has no batch statistics
-                xb = Tensor(x[idx])
-                yb = Tensor(y[idx])
+                xb, yb = trials_to_arrays([train_trials[i] for i in idx])
                 loss = cross_entropy_loss(
-                    model.forward(xb, training=True, rng=rng), yb)
+                    model.forward(Tensor(xb), training=True, rng=rng),
+                    Tensor(yb))
                 total += _finite_loss(float(loss.data), epoch, "training")
                 seen += len(idx)
                 scaled = loss * (1.0 / len(idx))
@@ -133,11 +146,11 @@ class Trainer:
             result.train_losses.append(total / max(seen, 1))
             result.epochs_run = epoch + 1
 
-            if xv is None:
+            if not val_trials:
                 print(f"[epoch {epoch}] loss={result.train_losses[-1]:.6g}",
                       file=sys.stderr)
                 continue
-            val = _finite_loss(self.evaluate_loss(model, xv, yv),
+            val = _finite_loss(self.evaluate_loss(model, val_trials),
                                epoch, "validation")
             result.val_losses.append(val)
             print(f"[epoch {epoch}] loss={result.train_losses[-1]:.6g} "
@@ -156,13 +169,14 @@ class Trainer:
             _restore(model, best_snap)
         return model, result
 
-    def evaluate_loss(self, model, x, y):
+    def evaluate_loss(self, model, trials):
         """Mean per-sample cross-entropy in inference mode, taken as one
         sum over all N trials, so its bits do not depend on the batches."""
-        logits = np.concatenate([batch for _, batch in model.infer(x)])
-        return float(cross_entropy_loss(Tensor(logits), Tensor(y)).data) \
-            / len(x)
+        logits = np.concatenate(
+            [batch for _, batch in model.infer(_windows(trials))])
+        loss = cross_entropy_loss(Tensor(logits), Tensor(_labels(trials)))
+        return float(loss.data) / len(trials)
 
     def predict_proba(self, model, trials):
         """Per-trial class probabilities, inference mode, [N,2]."""
-        return model.predict_proba(trials_to_arrays(trials)[0])
+        return model.predict_proba(_windows(trials))

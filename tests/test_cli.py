@@ -373,11 +373,11 @@ FOLDS = ("--k", "2")
 @pytest.mark.parametrize("argv,message", [
     (("train", "--epochs", "0"), "epochs must be >= 1, got 0"),
     (("train", "--epochs", "2", "--batch-size", "-4"),
-     "batch_size must be >= 1, got -4"),
+     "batch_size must be >= 2, got -4"),
     (("evaluate", *FOLDS, *FAST_FIT, "--batch-size", "-4"),
-     "batch_size must be >= 1, got -4"),
+     "batch_size must be >= 2, got -4"),
     (("evaluate", *FOLDS, *FAST_FIT, "--batch-size", "0"),
-     "batch_size must be >= 1, got 0"),
+     "batch_size must be >= 2, got 0"),
     (("evaluate", *FOLDS, *FAST_FIT, "--epochs", "0"),
      "epochs must be >= 1, got 0"),
     (("evaluate", *FOLDS, "--inner-epochs", "0"),
@@ -523,6 +523,38 @@ def test_non_finite_synth_seconds_is_user_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "error: seconds must be finite, got " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("subjects=4.5", "subjects='4.5': subjects must be an integer"),
+    ("seconds=abc", "seconds='abc': seconds must be a number"),
+], ids=["int-key", "float-key"])
+def test_bad_synth_spec_value_names_its_key(tmp_path, capsys, spec,
+                                            message):
+    code = run_cli("train", "--data", f"synth:{spec}",
+                   "--out", str(tmp_path / "run"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: bad synth spec value {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("train", ()),
+    ("evaluate", ("--k", "2", "--no-tune")),
+])
+def test_batch_size_one_is_a_user_error(tmp_path, capsys, command, extra):
+    """Batch statistics need two trials: a batch size of 1 would train
+    nothing and save the untrained weights."""
+    out = tmp_path / "run"
+    code = run_cli(command, "--data",
+                   "synth:subjects=4,seconds=16,separation=1.0,seed=3",
+                   "--epochs", "2", "--batch-size", "1", "--out", str(out),
+                   *TINY_MODEL, *extra)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: batch_size must be >= 2, got 1" in err
+    assert not list(out.rglob("*.weights"))
 
 
 @pytest.mark.parametrize("command,payload,message", [

@@ -331,3 +331,106 @@ def test_channel_list_is_the_contract():
                              "P4", "T5", "T6", "O1", "O2")
     assert len(data.CHANNELS) == 19
     assert set(data.FRONTAL) <= set(data.CHANNELS)
+
+
+# -- subject-disjoint splits -------------------------------------------------
+
+
+def _reference_validation_slice(train_trials, rng, fraction=0.10):
+    """The early-stopping slice written out without the shared helpers:
+    the same rng calls and list order ``validation_slice`` must keep."""
+    by_label = {}
+    for t in train_trials:
+        by_label.setdefault(t.label, set()).add(t.subject_id)
+    held = set()
+    for label in data.LABELS:
+        subjects = sorted(by_label.get(label, ()))
+        n_hold = max(1, round(fraction * len(subjects)))
+        if len(subjects) - n_hold < 1:
+            return train_trials, []
+        picks = rng.choice(len(subjects), size=n_hold, replace=False)
+        held.update(subjects[i] for i in picks)
+    core = [t for t in train_trials if t.subject_id not in held]
+    val = [t for t in train_trials if t.subject_id in held]
+    return core, val
+
+
+def _reference_bipartition(trials, rng):
+    """The inner halves written out without the shared helpers: the same
+    rng calls and list order ``stratified_bipartition`` must keep."""
+    subject_label = {}
+    for t in trials:
+        subject_label.setdefault(t.subject_id, t.label)
+    by_label = {lab: sorted(s for s, l in subject_label.items() if l == lab)
+                for lab in data.LABELS}
+    first = set()
+    for lab in data.LABELS:
+        subs = list(by_label[lab])
+        rng.shuffle(subs)
+        first.update(subs[:len(subs) // 2 + len(subs) % 2])
+    return ([t for t in trials if t.subject_id in first],
+            [t for t in trials if t.subject_id not in first])
+
+
+def _interleaved_trials(seed):
+    """Trials of 13 ADHD and 9 HC subjects in a shuffled order, so a split
+    that reordered them would show."""
+    rng = np.random.default_rng(seed)
+    trials = [data.Trial(f"{label.lower()}-{s:03d}", k, None, label)
+              for label, n in (("ADHD", 13), ("HC", 9))
+              for s in range(n) for k in range(3)]
+    return [trials[i] for i in rng.permutation(len(trials))]
+
+
+def _same_trials(got, want):
+    assert [id(t) for t in got] == [id(t) for t in want]
+
+
+def test_subjects_by_label_sorts_each_class_in_label_order():
+    trials = _interleaved_trials(0)[:20]
+    got = data.subjects_by_label(trials)
+    assert list(got) == list(data.LABELS)
+    for label, subjects in got.items():
+        assert subjects == sorted({t.subject_id for t in trials
+                                   if t.label == label})
+    assert data.subjects_by_label([t for t in trials if t.label == "HC"]) \
+        ["ADHD"] == []
+
+
+def test_split_subjects_keeps_the_order_of_each_side():
+    trials = _interleaved_trials(1)
+    held = {"adhd-003", "hc-007"}
+    rest, taken = data.split_subjects(trials, held, "test boundary")
+    _same_trials(rest, [t for t in trials if t.subject_id not in held])
+    _same_trials(taken, [t for t in trials if t.subject_id in held])
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("fraction", [0.1, 0.25, 0.5])
+def test_validation_slice_draws_the_reference_lists(seed, fraction):
+    trials = _interleaved_trials(seed)
+    got = data.validation_slice(trials, np.random.default_rng(seed),
+                                fraction)
+    want = _reference_validation_slice(trials, np.random.default_rng(seed),
+                                    fraction)
+    for g, w in zip(got, want):
+        _same_trials(g, w)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_stratified_bipartition_draws_the_reference_lists(seed):
+    from adhdeepnet.optimize import stratified_bipartition
+    trials = _interleaved_trials(seed)
+    got = stratified_bipartition(trials, np.random.default_rng(seed))
+    want = _reference_bipartition(trials, np.random.default_rng(seed))
+    for g, w in zip(got, want):
+        _same_trials(g, w)
+
+
+def test_check_disjoint_raises_naming_the_boundary():
+    trials = _interleaved_trials(2)
+    a = [t for t in trials if t.subject_id == "hc-001"]
+    data.check_disjoint(a, [t for t in trials if t not in a], "fold 4")
+    with pytest.raises(data.LeakageError,
+                       match=r"fold 4: subjects on both sides: \['hc-001'\]"):
+        data.check_disjoint(a, trials, "fold 4")

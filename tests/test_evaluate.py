@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from adhdeepnet.augment import enumerate_combos
-from adhdeepnet.data import canonical_json, generate_synthetic
+from adhdeepnet.data import (canonical_json, generate_synthetic,
+                             validation_slice)
 from adhdeepnet.evaluate import (
     ABLATION_VARIANTS,
     ConfusionCounts,
@@ -22,7 +23,6 @@ from adhdeepnet.evaluate import (
     metrics,
     run_fold,
     variant_config,
-    _validation_slice,
 )
 from adhdeepnet.model import ModelConfig
 from adhdeepnet.train import FitResult, Trainer
@@ -285,7 +285,7 @@ def small_cohort(n_per_class=4, seconds=8, seed=0):
 def test_validation_slice_subject_disjoint():
     from adhdeepnet.data import segment_all
     trials = segment_all(small_cohort(10, 8))
-    core, val = _validation_slice(trials, np.random.default_rng(0))
+    core, val = validation_slice(trials, np.random.default_rng(0))
     core_subjects = {t.subject_id for t in core}
     val_subjects = {t.subject_id for t in val}
     assert not core_subjects & val_subjects
@@ -297,7 +297,7 @@ def test_validation_slice_subject_disjoint():
 def test_validation_slice_skipped_when_too_small():
     from adhdeepnet.data import segment_all
     trials = segment_all(small_cohort(1, 8))
-    core, val = _validation_slice(trials, np.random.default_rng(0))
+    core, val = validation_slice(trials, np.random.default_rng(0))
     assert val == []
     assert core == trials
 
@@ -380,7 +380,39 @@ def test_leakage_guard_rejects_overlapping_fold():
         "final": OracleTrainer(ModelConfig()),
         "out_dir": None, "combos": [None],
     }
-    with pytest.raises(LeakageError, match="both sides"):
+    with pytest.raises(LeakageError, match="^fold 0: subjects on both sides"):
+        run_fold(task)
+
+
+@pytest.mark.parametrize("boundary", ["fold 0 validation slice",
+                                      "inner split"])
+def test_leakage_guard_names_each_boundary_inside_a_fold(monkeypatch,
+                                                         boundary):
+    """The early-stopping slice and the tuning halves split through
+    ``data.split_subjects``; a boundary that let a subject through would
+    raise, naming itself, and tuning would not score it as a failed
+    evaluation."""
+    from adhdeepnet import data
+    assert LeakageError is data.LeakageError
+    check = data.check_disjoint
+    # each side drawn inside the fold gets one trial of the other side
+    monkeypatch.setattr(data, "check_disjoint", lambda a, b, context: check(
+        a, list(b) + list(a[:1]), context))
+    trials = data.segment_all(small_cohort(4, 8))
+    held_out = {"adhd-000", "hc-000"}
+    task = {
+        "fold": 0,
+        "train_trials": [t for t in trials if t.subject_id not in held_out],
+        "test_trials": [t for t in trials if t.subject_id in held_out],
+        "seed": 0,
+        "hyperparams": dict(HP) if "slice" in boundary else None,
+        "tune_iterations": 2, "tune_seed_points": 2, "tune_kappa": 0.1,
+        "inner": OracleTrainer(ModelConfig()),
+        "final": OracleTrainer(ModelConfig()),
+        "out_dir": None, "combos": [None],
+    }
+    with pytest.raises(LeakageError,
+                       match=f"^{boundary}: subjects on both sides"):
         run_fold(task)
 
 

@@ -664,3 +664,17 @@ def test_tune_requires_four_subjects():
               if not t.subject_id.endswith("001") or t.label == "HC"]
     with pytest.raises(TuningError, match="4 subjects"):
         tune(trials, FakeTrainer(lambda hp: 1.0), iterations=2, seed=0)
+
+
+def test_tune_requires_two_subjects_of_each_class():
+    """Four subjects, 3 ADHD and 1 HC, leave no HC subject for one inner
+    half; tune refuses before any iteration, naming both counts."""
+    trials = [t for t in cohort(3, seconds=8, seed=0)
+              if t.label == "ADHD" or t.subject_id.endswith("000")]
+    assert len({t.subject_id for t in trials}) == 4
+    trainer = FakeTrainer(lambda hp: 1.0)
+    with pytest.raises(TuningError,
+                       match="4 subjects, 2 of each class .* got 3 ADHD "
+                             "and 1 HC"):
+        tune(trials, trainer, iterations=2, seed=0)
+    assert trainer.fit_calls == []

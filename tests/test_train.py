@@ -117,8 +117,7 @@ def test_best_weights_restored_after_stopping():
     hp = dict(HP, learning_rate=5e-3)
     trainer = Trainer(tiny_config(), epochs=12, patience=3)
     model, result = trainer.fit(trials, hp, seed=7, val_trials=val)
-    xv, yv = trials_to_arrays(val)
-    assert trainer.evaluate_loss(model, xv, yv) == min(result.val_losses)
+    assert trainer.evaluate_loss(model, val) == min(result.val_losses)
     assert result.best_epoch == int(np.argmin(result.val_losses))
 
 
@@ -192,28 +191,27 @@ def test_evaluate_loss_matches_mean_cross_entropy_of_probabilities(
     trials = cohort_trials(1, 24, seed=6)[:11]  # batch 4 leaves 3 over
     trainer = Trainer(tiny_config())
     model = build_adhdeepnet(tiny_config(), seed=3)
-    x, y = trials_to_arrays(trials)
+    _, y = trials_to_arrays(trials)
     probs = trainer.predict_proba(model, trials).astype(np.float64)
     expected = -np.mean(np.log(np.sum(probs * y, axis=1)))
     # float32 probabilities carry ~1e-7 relative error into each log
-    assert trainer.evaluate_loss(model, x, y) \
+    assert trainer.evaluate_loss(model, trials) \
         == pytest.approx(expected, abs=1e-6)
 
 
 def test_validation_loss_does_not_depend_on_the_fit_batch_size(monkeypatch):
     train = cohort_trials(2, 16, seed=7)
     val = cohort_trials(1, 24, seed=8)[:11]
-    x, y = trials_to_arrays(val)
     for batch_size in (3, 5, len(train)):
         trainer = Trainer(tiny_config(), epochs=1)
         model, result = trainer.fit(train, dict(HP, batch_size=batch_size),
                                     seed=0, val_trials=val)
         # one epoch, so the fit kept the weights it validated
-        assert result.val_losses == [trainer.evaluate_loss(model, x, y)]
+        assert result.val_losses == [trainer.evaluate_loss(model, val)]
     losses = set()
     for batch in (1, 3, 4, 32):
         monkeypatch.setattr(model_module, "INFERENCE_BATCH", batch)
-        losses.add(trainer.evaluate_loss(model, x, y))
+        losses.add(trainer.evaluate_loss(model, val))
     assert len(losses) == 1, losses
 
 
@@ -401,3 +399,72 @@ def test_a_desk_forward_holds_little_while_its_loss_is_held():
     held = []
     after, _ = _traced(lambda: held.append(_step_loss(model, x, y, seed=1)))
     assert after < 18 * 2**20
+
+
+# -- batches -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("batch_size", [1, 0])
+def test_fit_refuses_a_batch_size_below_two(batch_size):
+    """A one-trial batch has no batch statistics, so a fit at batch size 1
+    would skip every batch and return its untrained weights."""
+    built = []
+
+    def counting_build(config, seed=0):
+        built.append(seed)
+        return build_adhdeepnet(config, seed=seed)
+
+    trainer = Trainer(tiny_config(), epochs=2, build_fn=counting_build)
+    with pytest.raises(ValueError,
+                       match=f"batch_size must be >= 2, got {batch_size}"):
+        trainer.fit(cohort_trials(1, 8), dict(HP, batch_size=batch_size),
+                    seed=0)
+    assert built == []
+
+
+def test_fit_refuses_an_empty_training_set():
+    with pytest.raises(ValueError, match="no trials to train on"):
+        Trainer(tiny_config()).fit([], HP, seed=0)
+
+
+def test_predict_proba_casts_each_window_to_float32():
+    trials = cohort_trials(1, 12, seed=4)
+    wide = [Trial(t.subject_id, t.segment_index,
+                  t.window.astype(np.float64), t.label) for t in trials]
+    model = build_adhdeepnet(tiny_config(), seed=2)
+    trainer = Trainer(tiny_config())
+    assert_same_bytes(trainer.predict_proba(model, wide),
+                      trainer.predict_proba(model, trials))
+    assert trainer.evaluate_loss(model, wide) \
+        == trainer.evaluate_loss(model, trials)
+
+
+def _traced_peak(run):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_fit_and_predict_memory_does_not_grow_with_the_trial_count():
+    """A fit stacks one batch of windows at a time and a score hands window
+    views to ``Model.infer``: neither holds a stacked copy of its set."""
+    trials = cohort_trials(4, 80, seed=5)  # 8 subjects x 20 windows
+    assert len(trials) == 160
+    trainer = Trainer(desk_config(), epochs=1)
+    hp = dict(HP, batch_size=32)
+    model, _ = trainer.fit(trials[:32], hp, seed=0)  # warm caches
+    trainer.predict_proba(model, trials[:32])
+    extra = sum(t.window.nbytes for t in trials[32:])
+    runs = {"fit": lambda n: trainer.fit(trials[:n], hp, seed=0),
+            "predict_proba": lambda n: trainer.predict_proba(model,
+                                                             trials[:n])}
+    for name, run in runs.items():
+        peaks = [_traced_peak(lambda: run(n)) for n in (32, 160)]
+        # 128 more windows stacked would add ``extra`` bytes
+        assert peaks[1] - peaks[0] < extra / 2, (name, peaks)
