@@ -48,10 +48,6 @@ class AugCombo:
     def is_double(self):
         return len(self.entries) == 2
 
-    def describe(self):
-        parts = [f"m={m},sigma={s:g}" for m, s in self.entries]
-        return f"{self.id}[" + " + ".join(parts) + "]"
-
 
 def enumerate_combos(magnifications=MAGNIFICATIONS, sigmas=SIGMAS):
     """The default sweep: 9 singles then 9 canonical doubles, C1..C18.

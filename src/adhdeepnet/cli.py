@@ -45,9 +45,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .augment import enumerate_combos
-from .data import (PlanningError, atomic_write_text, canonical_json,
-                   generate_synthetic, load_dataset, save_dataset,
-                   segment_all, validation_slice)
+from .data import (CHANNELS, LABELS, WINDOW, PlanningError,
+                   atomic_write_text, canonical_json, generate_synthetic,
+                   load_dataset, save_dataset, segment_all, validation_slice)
 from .evaluate import (ABLATION_VARIANTS, DEFAULT_HYPERPARAMS, ablation_run,
                        evaluate_no_da, evaluate_with_da)
 from .explain import DEFAULT_LAYER_TAGS, export_analysis
@@ -141,7 +141,7 @@ def _checked(where, value, default):
     given for a number made a float; raise ValueError naming the field
     ``where`` otherwise. Objects are checked key by key against the keys
     ``default`` holds, except the ``ModelConfig`` fields of
-    ``model.overrides``, which ``_build_model_config`` checks."""
+    ``model.overrides``, which ``_checked_override`` checks."""
     kind = type(default)
     accepted = (int, float) if kind is float else kind
     if not isinstance(value, accepted) \
@@ -219,7 +219,9 @@ def _merge_config(args):
         key, value = _parse_override(item)
         base["model"]["overrides"][key] = value
 
+    seed_source = "--seed" if args.seed is not None else "config field seed"
     if base["seed"] is None:
+        seed_source = "ADHDNET_SEED"
         env = os.environ.get("ADHDNET_SEED", "").strip()
         if env:
             try:
@@ -229,6 +231,11 @@ def _merge_config(args):
                     f"ADHDNET_SEED must be an integer, got {env!r}") from None
         else:
             base["seed"] = 0
+    if base["seed"] < 0:
+        raise ValueError(f"{seed_source} must be a non-negative integer, "
+                         f"got {base['seed']}")
+    if base["data"].startswith("synth:"):
+        _parse_synth_spec(base["data"], base["seed"])  # refused before --out
     return RunConfig(**base)
 
 
@@ -266,6 +273,9 @@ def _parse_synth_spec(source, default_seed):
             raise ValueError(
                 f"bad synth spec value {key}={raw!r}: {key} must be "
                 f"{'an integer' if kind is int else 'a number'}") from None
+    if params["seed"] < 0:
+        raise ValueError(f"bad synth spec value seed={params['seed']}: seed "
+                         f"must be a non-negative integer")
     _check_subject_count(params["subjects"])
     return params
 
@@ -290,16 +300,46 @@ def _resolve_data(config):
     return recordings
 
 
+# ModelConfig fields that the data fixes: field -> (value, what sets it)
+_SET_BY_DATA = {"channels": (len(CHANNELS), "the channels of a recording"),
+                "time_steps": (WINDOW, "the samples of a trial window"),
+                "classes": (len(LABELS), "the labels")}
+
+
+def _checked_override(key, value, default):
+    """A ``--model`` value of the kind of its field's ``default``; raise
+    ValueError naming ``model.overrides.<key>`` if no run can honour it."""
+    where = f"model.overrides.{key}"
+    if key == "dropout_rate":
+        raise ValueError(
+            f"config field {where} has no effect: every fit takes its "
+            f"dropout rate from the dropout_rate hyperparameter (--dropout)")
+    if isinstance(default, tuple):
+        if not (isinstance(value, list) and len(value) == len(default)
+                and all(type(v) is int for v in value)):
+            raise ValueError(f"config field {where} must be a list of "
+                             f"{len(default)} integers, got "
+                             f"{json.dumps(value)}")
+        return tuple(value)
+    value = _checked(where, value, default)
+    if key in _SET_BY_DATA and value != _SET_BY_DATA[key][0]:
+        fixed, source = _SET_BY_DATA[key]
+        raise ValueError(f"config field {where} must be {fixed}, set by "
+                         f"{source}, got {value}")
+    return value
+
+
 def _build_model_config(config):
+    """The run's ModelConfig, checked before any data loads."""
     preset = config.model["preset"]
     if preset not in _PRESETS:
         raise ValueError(f"unknown model preset {preset!r}")
-    fields = {f.name for f in dataclasses.fields(ModelConfig)}
+    defaults = {f.name: f.default for f in dataclasses.fields(ModelConfig)}
     clean = {}
     for key, value in config.model["overrides"].items():
-        if key not in fields:
+        if key not in defaults:
             raise ValueError(f"unknown model config field {key!r}")
-        clean[key] = tuple(value) if isinstance(value, list) else value
+        clean[key] = _checked_override(key, value, defaults[key])
     built = _PRESETS[preset](**clean)
     built.validate()
     return built
@@ -327,9 +367,9 @@ def cmd_train(config):
     if not 0 <= val_fraction < 1:  # NaN fails too
         raise ValueError(f"--val-fraction must be in [0, 1), got "
                          f"{val_fraction}")
+    model_config = _build_model_config(config)
     out = _prepare_out(config)
     trials = segment_all(_resolve_data(config))
-    model_config = _build_model_config(config)
     hyperparams = opts["hyperparams"]
 
     train_trials, val = trials, None
@@ -355,9 +395,9 @@ def cmd_train(config):
 
 
 def cmd_tune(config):
+    model_config = _build_model_config(config)
     out = _prepare_out(config)
     trials = segment_all(_resolve_data(config))
-    model_config = _build_model_config(config)
     bo = config.bo
     trainer = Trainer(model_config, epochs=bo["inner_epochs"],
                       patience=bo["inner_patience"])
@@ -399,9 +439,9 @@ def _da_text(reports, sweep):
 
 
 def cmd_evaluate(config):
+    model_config = _build_model_config(config)
     out = _prepare_out(config)
     recordings = _resolve_data(config)
-    model_config = _build_model_config(config)
     opts, bo = config.options, config.bo
     hyperparams = None if bo["tune"] else opts["hyperparams"]
     common = dict(k=opts["k"], seed=config.seed, config=model_config,
@@ -448,12 +488,12 @@ def cmd_evaluate(config):
 
 
 def cmd_explain(config):
+    model_config = _build_model_config(config)
     out = _prepare_out(config)
     opts = config.options
     if not opts["weights"]:
         raise ValueError("--weights is required")
     trials = segment_all(_resolve_data(config))
-    model_config = _build_model_config(config)
     model = build_adhdeepnet(model_config, seed=config.seed)
     model.load_weights(opts["weights"])
     _progress(f"analyzing {len(trials)} trials at tags {opts['tags']}")

@@ -57,28 +57,29 @@ class ModelConfig:
         return self.temporal_filters * self.depth_multiplier
 
     def validate(self):
+        for name in ("channels", "temporal_filters", "temporal_kernel",
+                     "depth_multiplier", "branch_width", "branch_pool_width",
+                     "post_sep_kernel", "se_ratio"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got "
+                                  f"{getattr(self, name)}")
         checks = [
-            (self.channels >= 1, "channels must be positive"),
             (self.time_steps >= 2, "time_steps must be at least 2"),
             (self.classes >= 2, "classes must be at least 2"),
-            (self.temporal_filters >= 1, "temporal_filters must be positive"),
-            (self.temporal_kernel >= 1, "temporal_kernel must be positive"),
-            (self.depth_multiplier >= 1, "depth_multiplier must be positive"),
-            (self.branch_width >= 1, "branch_width must be positive"),
-            (self.se_ratio >= 1, "se_ratio must be positive"),
             (0.0 <= self.dropout_rate < 1.0, "dropout_rate must be in [0,1)"),
             (len(self.branch_sep_kernels) == 2,
              "branch_sep_kernels needs exactly two widths"),
+            (min(self.branch_sep_kernels, default=1) >= 1,
+             "branch_sep_kernels must be positive"),
         ]
-        if self.use_se:
-            width = self.stage_width()
-            checks.append(
-                (width % self.se_ratio == 0,
-                 f"stage width {width} must be divisible by se_ratio "
-                 f"{self.se_ratio}"))
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        # after the checks above, so that se_ratio is at least 1
+        width = self.stage_width()
+        if self.use_se and width % self.se_ratio:
+            raise ConfigError(f"stage width {width} must be divisible by "
+                              f"se_ratio {self.se_ratio}")
 
 
 def desk_config(**overrides):
@@ -158,7 +159,7 @@ class SpatialFirstStem:
         return tz.spatial_first_stem(
             x, self.temporal.kernel, bn.gamma, bn.beta, bn.running_mean,
             bn.running_var, self.spatial.kernel, training,
-            padding=self.temporal.padding, momentum=bn.momentum, eps=bn.eps)
+            padding=self.temporal.padding)
 
 
 class Model:
@@ -223,7 +224,7 @@ class Model:
 
     def predict_proba(self, x):
         """Class probabilities for a [N,1,E,T] array, inference mode."""
-        return np.concatenate([tz.softmax(Tensor(logits), axis=1).data
+        return np.concatenate([tz.softmax(logits, axis=1)
                                for _, logits in self.infer(x)])
 
     # -- parameters -----------------------------------------------------------
@@ -319,7 +320,7 @@ def build_adhdeepnet(config=None, seed=0):
                                                (c.channels, 1), "valid",
                                                rng)),
         ("bn2", nn.BatchNorm(block1_out)),
-        ("elu1", nn.Activation("elu")),
+        ("elu1", nn.Activation()),
         ("pool1", nn.AvgPool((1, 2))),
         ("dropout1", nn.Dropout(c.dropout_rate)),
     ]
@@ -336,7 +337,7 @@ def build_adhdeepnet(config=None, seed=0):
         ("post_sep", nn.SeparableConv(width, width, (1, c.post_sep_kernel),
                                       "same", rng)),
         ("bn3", nn.BatchNorm(width)),
-        ("elu2", nn.Activation("elu")),
+        ("elu2", nn.Activation()),
     ]
     if c.use_se:
         stages.append(("se2", nn.SEBlock(width, c.se_ratio, rng)))
@@ -370,12 +371,12 @@ def build_eegnet_baseline(config=None, seed=0):
         ("spatial_depthwise", nn.DepthwiseConv(f1, d, (c.channels, 1),
                                                "valid", rng)),
         ("bn2", nn.BatchNorm(f1 * d)),
-        ("elu1", nn.Activation("elu")),
+        ("elu1", nn.Activation()),
         ("pool1", nn.AvgPool((1, 4))),
         ("dropout1", nn.Dropout(c.dropout_rate)),
         ("separable", nn.SeparableConv(f1 * d, f2, (1, 16), "same", rng)),
         ("bn3", nn.BatchNorm(f2)),
-        ("elu2", nn.Activation("elu")),
+        ("elu2", nn.Activation()),
         ("pool2", nn.AvgPool((1, 8))),
         ("dropout2", nn.Dropout(c.dropout_rate)),
         ("flatten", Flatten()),

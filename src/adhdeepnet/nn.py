@@ -4,6 +4,11 @@ Layers are thin stateful wrappers over the tensor ops: they own parameter
 Tensors (and, for batch norm, running-statistic buffers) and expose a
 uniform ``__call__(x, training, rng)``. Convolutions carry no bias terms;
 normalization directly follows each one. The dense classifier keeps a bias.
+
+The optimizers take only a learning rate; their other settings are class
+constants: SGD momentum 0.9, Adam beta1 0.9, beta2 0.999 and eps 1e-8, and
+RMSProp rho 0.9 and eps 1e-8. Batch norm's are ``tensor.BN_MOMENTUM`` and
+``tensor.BN_EPS``.
 """
 
 from __future__ import annotations
@@ -120,13 +125,11 @@ class SeparableConv(Layer):
 class BatchNorm(Layer):
     kind = "BatchNorm"
 
-    def __init__(self, channels, momentum=0.1, eps=1e-5):
+    def __init__(self, channels):
         self.gamma = Tensor(np.ones(channels, np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, np.float32), requires_grad=True)
         self.running_mean = np.zeros(channels, np.float32)
         self.running_var = np.ones(channels, np.float32)
-        self.momentum = momentum
-        self.eps = eps
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
@@ -137,22 +140,16 @@ class BatchNorm(Layer):
 
     def __call__(self, x, training=False, rng=None):
         return tz.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                             self.running_var, training,
-                             momentum=self.momentum, eps=self.eps)
+                             self.running_var, training)
 
 
 class Activation(Layer):
-    kind = "Activation"
-    _FNS = {"elu": tz.elu, "relu": tz.relu, "sigmoid": tz.sigmoid,
-            "softmax": tz.softmax}
+    """ELU, the network's one activation layer."""
 
-    def __init__(self, fn):
-        if fn not in self._FNS:
-            raise ValueError(f"unknown activation {fn!r}")
-        self.fn = fn
+    kind = "Activation"
 
     def __call__(self, x, training=False, rng=None):
-        return self._FNS[self.fn](x)
+        return tz.elu(x)
 
 
 class AvgPool(Layer):
@@ -342,10 +339,7 @@ class Optimizer:
 
 class SGDMomentum(Optimizer):
     kind = "SGDMomentum"
-
-    def __init__(self, learning_rate, momentum=0.9):
-        super().__init__(learning_rate)
-        self.momentum = momentum
+    momentum = 0.9
 
     def _update(self, i, p):
         slot = self._slot(i, p, ("velocity",))
@@ -357,10 +351,10 @@ class SGDMomentum(Optimizer):
 
 class Adam(Optimizer):
     kind = "Adam"
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, learning_rate):
         super().__init__(learning_rate)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self._t = {}
 
     def _update(self, i, p):
@@ -381,10 +375,7 @@ class Adam(Optimizer):
 
 class RMSProp(Optimizer):
     kind = "RMSProp"
-
-    def __init__(self, learning_rate, rho=0.9, eps=1e-8):
-        super().__init__(learning_rate)
-        self.rho, self.eps = rho, eps
+    rho, eps = 0.9, 1e-8
 
     def _update(self, i, p):
         slot = self._slot(i, p, ("sq",))

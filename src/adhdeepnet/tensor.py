@@ -1,10 +1,12 @@
 """Minimal n-dimensional tensors with reverse-mode automatic differentiation.
 
-Covers exactly the operations the EEG classifier needs: dense layers,
-2-D/depthwise/separable convolution, batch normalization, ELU/ReLU/sigmoid/
-softmax, average and global-average pooling, dropout, and the reductions
-used by the loss. Data is float32 by default (float64 supported, e.g. for
-finite-difference checks); reductions accumulate in float64.
+Covers exactly the operations the EEG classifier runs: dense layers,
+2-D/depthwise/separable convolution, batch normalization, ELU/ReLU/sigmoid,
+average and global-average pooling, dropout, and the log-softmax, product
+and sum of the loss. ``softmax`` is a plain array function, for the class
+probabilities of an inference pass, and records nothing. Data is float32
+by default (float64 supported, e.g. for finite-difference checks);
+reductions accumulate in float64.
 
 The computation graph is rebuilt on every forward pass (define-by-run)
 and holds nodes, not values: each op returns a new Tensor that points to
@@ -172,31 +174,13 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self):
-        self.grad = None
-
     # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _ensure_tensor(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_ensure_tensor(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _ensure_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_ensure_tensor(other, self.dtype), self)
 
     def __mul__(self, other):
         return mul(self, _ensure_tensor(other, self.dtype))
 
     def __rmul__(self, other):
         return mul(_ensure_tensor(other, self.dtype), self)
-
-    def __truediv__(self, scalar):
-        return mul(self, _ensure_tensor(1.0 / float(scalar), self.dtype))
 
     def __neg__(self):
         return mul(self, _ensure_tensor(-1.0, self.dtype))
@@ -206,9 +190,6 @@ class Tensor:
 
     def sum(self):
         return tsum(self)
-
-    def mean(self):
-        return tmean(self)
 
     # -- backward ------------------------------------------------------------
 
@@ -301,26 +282,6 @@ def _unbroadcast(grad, shape):
 # -- elementwise arithmetic ---------------------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
-    sa, sb = a.shape, b.shape
-
-    def backward(g):
-        return _unbroadcast(g, sa), _unbroadcast(g, sb)
-
-    return Tensor._from_op(out, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-    sa, sb = a.shape, b.shape
-
-    def backward(g):
-        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
-
-    return Tensor._from_op(out, (a, b), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     out = ad * bd
@@ -398,16 +359,6 @@ def tsum(t: Tensor) -> Tensor:
     return Tensor._from_op(np.asarray(out), (t,), backward)
 
 
-def tmean(t: Tensor) -> Tensor:
-    out = t.data.mean(dtype=np.float64).astype(t.dtype)
-    n, shape, dtype = t.size, t.shape, t.dtype
-
-    def backward(g):
-        return (np.broadcast_to(g / n, shape).astype(dtype),)
-
-    return Tensor._from_op(np.asarray(out), (t,), backward)
-
-
 # -- activations ----------------------------------------------------------------
 
 
@@ -447,20 +398,12 @@ def sigmoid(t: Tensor) -> Tensor:
     return Tensor._from_op(out, (t,), backward)
 
 
-def _softmax_data(x, axis):
+def softmax(x, axis=-1):
+    """Probabilities of an array of logits along ``axis``, summed in
+    float64 and returned in the logits' dtype; records no graph."""
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted, dtype=np.float64)
     return (e / e.sum(axis=axis, keepdims=True)).astype(x.dtype)
-
-
-def softmax(t: Tensor, axis=-1) -> Tensor:
-    out = _softmax_data(t.data, axis)
-
-    def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return Tensor._from_op(out, (t,), backward)
 
 
 def log_softmax(t: Tensor, axis=-1) -> Tensor:
@@ -628,21 +571,25 @@ def separable_conv2d(x: Tensor, depth_kernel: Tensor, point_kernel: Tensor,
 # -- normalization -----------------------------------------------------------------
 
 
-def _update_running(running_mean, running_var, mean, var, momentum):
+BN_MOMENTUM = 0.1  # weight of a training batch's statistics in the EMA
+BN_EPS = 1e-5  # added to every variance before its square root
+
+
+def _update_running(running_mean, running_var, mean, var):
     """Move the running statistics toward a batch's, in place (EMA)."""
-    running_mean *= (1.0 - momentum)
-    running_mean += momentum * mean.astype(running_mean.dtype)
-    running_var *= (1.0 - momentum)
-    running_var += momentum * var.astype(running_var.dtype)
+    running_mean *= (1.0 - BN_MOMENTUM)
+    running_mean += BN_MOMENTUM * mean.astype(running_mean.dtype)
+    running_var *= (1.0 - BN_MOMENTUM)
+    running_var += BN_MOMENTUM * var.astype(running_var.dtype)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean,
-               running_var, training, momentum=0.1, eps=1e-5) -> Tensor:
+               running_var, training) -> Tensor:
     """Per-channel batch normalization over [N,C,H,W].
 
     Training mode normalizes by batch statistics and updates the running
-    arrays in place by exponential moving average; inference mode uses the
-    running statistics.
+    arrays in place by exponential moving average (``BN_MOMENTUM``);
+    inference mode uses the running statistics.
     """
     if x.ndim != 4:
         raise ShapeError(f"batch_norm expects [N,C,H,W], got {x.shape}")
@@ -657,12 +604,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean,
     if training:
         mean = x.data.mean(axis=(0, 2, 3), dtype=np.float64)
         var = x.data.var(axis=(0, 2, 3), dtype=np.float64)
-        _update_running(running_mean, running_var, mean, var, momentum)
+        _update_running(running_mean, running_var, mean, var)
     else:
         mean = running_mean.astype(np.float64)
         var = running_var.astype(np.float64)
 
-    inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype)[:, None, None]
+    inv_std = (1.0 / np.sqrt(var + BN_EPS)).astype(x.dtype)[:, None, None]
     mean = mean.astype(x.dtype)
     xhat = x.data - mean[:, None, None]
     xhat *= inv_std
@@ -723,8 +670,7 @@ def _lag_moments(rows, kw, pw, wo):
 
 def spatial_first_stem(x: Tensor, kernel: Tensor, gamma: Tensor,
                        beta: Tensor, running_mean, running_var,
-                       spatial: Tensor, training, padding="same",
-                       momentum=0.1, eps=1e-5) -> Tensor:
+                       spatial: Tensor, training, padding="same") -> Tensor:
     """conv2d(x, kernel) -> batch_norm -> depthwise_conv2d(spatial), fused.
 
     x [N,1,E,W], temporal kernel [F,1,1,K], spatial kernel [F,D,E,1]
@@ -735,7 +681,7 @@ def spatial_first_stem(x: Tensor, kernel: Tensor, gamma: Tensor,
     correlated with k_f, u = k_f * v, and batch norm passes through the
     spatial sum S[f,d] = sum_e spatial[f,d,e] as a scale and a shift:
     out = a_f (u - mu_f S[f,d]) + beta_f S[f,d], where
-    a_f = gamma_f / sqrt(var_f + eps).
+    a_f = gamma_f / sqrt(var_f + BN_EPS).
 
     In training mode mu_f and the biased var_f of the temporal-conv output
     come from the input's lag moments (``_lag_moments``): mu_f = k_f . m
@@ -778,11 +724,11 @@ def spatial_first_stem(x: Tensor, kernel: Tensor, gamma: Tensor,
         gk = k @ gram
         mean = k @ m
         var = np.maximum(np.einsum("fa,fa->f", gk, k) - mean * mean, 0.0)
-        _update_running(running_mean, running_var, mean, var, momentum)
+        _update_running(running_mean, running_var, mean, var)
     else:
         mean = running_mean.astype(np.float64)
         var = running_var.astype(np.float64)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     scale = gamma.data * inv_std
     offset = beta.data - scale * mean
     s = spatial.data.sum(axis=(2, 3), dtype=np.float64)
@@ -934,13 +880,12 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 
 def dropout(x: Tensor, rate, training, rng) -> Tensor:
-    """Inverted dropout: zero with probability ``rate``, scale survivors."""
+    """Inverted dropout: zero with probability ``rate``, scale survivors.
+    Outside training, or at rate 0, ``x`` itself comes back."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        def backward_id(g):
-            return (g,)
-        return Tensor._from_op(x.data, (x,), backward_id)
+        return x
 
     keep = 1.0 - rate
     mask = (rng.random(x.shape) < keep).astype(x.dtype)

@@ -279,9 +279,8 @@ def batch_norm_oracle(x, gamma, beta, running_mean, running_var, training,
 
 
 def dropout_oracle(x, rate, training, rng):
-    """Inverted dropout with the scaled mask built out of place."""
-    if not training or rate == 0.0:
-        return Tensor._from_op(x.data, (x,), lambda g: (g,))
+    """Inverted dropout in training at a positive rate, with the scaled
+    mask built out of place."""
     keep = 1.0 - rate
     mask = (rng.random(x.shape) < keep).astype(x.dtype) / keep
     out = x.data * mask

@@ -815,6 +815,90 @@ def test_unknown_model_field_is_user_error(dataset_dir, tmp_path, capsys):
     assert "nonsense" in capsys.readouterr().err
 
 
+BAD_OVERRIDES = [
+    ("temporal_filters=1.5",
+     "config field model.overrides.temporal_filters must be an integer"),
+    ('branch_width="x"',
+     "config field model.overrides.branch_width must be an integer"),
+    ("depth_multiplier=true",
+     "config field model.overrides.depth_multiplier must be an integer"),
+    ('branch_sep_kernels=["a",4]', "config field "
+     "model.overrides.branch_sep_kernels must be a list of 2 integers"),
+    ("branch_sep_kernels=[4]", "config field "
+     "model.overrides.branch_sep_kernels must be a list of 2 integers"),
+    ("use_se=0", "config field model.overrides.use_se must be true or false"),
+    ("se_ratio=0", "se_ratio must be positive, got 0"),
+    ("post_sep_kernel=0", "post_sep_kernel must be positive, got 0"),
+    ("branch_sep_kernels=[0,4]", "branch_sep_kernels must be positive"),
+    ("branch_pool_width=0", "branch_pool_width must be positive, got 0"),
+    ("dropout_rate=0.55", "config field model.overrides.dropout_rate has no "
+     "effect: every fit takes its dropout rate from the dropout_rate "
+     "hyperparameter (--dropout)"),
+    ("channels=18", "config field model.overrides.channels must be 19"),
+    ("classes=3", "config field model.overrides.classes must be 2"),
+    ("time_steps=100", "config field model.overrides.time_steps must be 512"),
+]
+
+
+@pytest.mark.parametrize("override,message", BAD_OVERRIDES,
+                         ids=[override for override, _ in BAD_OVERRIDES])
+def test_bad_model_override_is_refused_before_the_data(tmp_path, capsys,
+                                                       override, message):
+    """Each override is checked for its field's kind and range, and for
+    what the data fixes, before the data loads: the manifest here does
+    not exist, and no output directory is made."""
+    out = tmp_path / "run"
+    code = run_cli("train", "--preset", "desk", "--data",
+                   str(tmp_path / "missing.json"), "--out", str(out),
+                   "--model", override)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("tune",), ("evaluate",), ("ablate",), ("explain", "--weights", "w"),
+], ids=["tune", "evaluate", "ablate", "explain"])
+def test_every_model_command_checks_overrides_first(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    code = run_cli(*argv, "--preset", "desk", "--data",
+                   str(tmp_path / "missing.json"), "--out", str(out),
+                   "--model", "channels=18")
+    assert code == 1
+    assert "model.overrides.channels" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra,env,message", [
+    (("--seed", "-1"), None, "--seed must be a non-negative integer, got -1"),
+    ((), "-4", "ADHDNET_SEED must be a non-negative integer, got -4"),
+    (("--data", "synth:subjects=2,seconds=8,seed=-3"), None,
+     "bad synth spec value seed=-3: seed must be a non-negative integer"),
+    (("--config", "CONFIG"), None,
+     "config field seed must be a non-negative integer, got -2"),
+], ids=["flag", "env", "synth-spec", "config-file"])
+def test_negative_seed_is_refused_before_any_output(tmp_path, capsys,
+                                                    monkeypatch, extra, env,
+                                                    message):
+    monkeypatch.delenv("ADHDNET_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("ADHDNET_SEED", env)
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": -2}')
+    extra = [str(config) if arg == "CONFIG" else arg for arg in extra]
+    out = tmp_path / "run"
+    data = () if "--data" in extra else (
+        "--data", "synth:subjects=2,seconds=8")
+    code = run_cli("train", *data, *extra, "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+    assert not (out / "run_config.json").exists()
+
+
 def test_internal_error_exits_2(dataset_dir, tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure")

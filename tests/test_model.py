@@ -13,10 +13,12 @@ from adhdeepnet import model as model_module
 from adhdeepnet.model import (ConfigError, ModelConfig, build_adhdeepnet,
                               build_eegnet_baseline, desk_config,
                               parameter_count, predict_segment)
+from adhdeepnet.data import generate_synthetic, segment_all
 from adhdeepnet.evaluate import variant_config
 from adhdeepnet.nn import cross_entropy_loss
 from adhdeepnet import tensor as tz
 from adhdeepnet.tensor import ShapeError, Tensor, grad_enabled
+from adhdeepnet.train import Trainer
 
 from conftest import assert_same_bytes
 
@@ -165,7 +167,7 @@ def test_training_between_or_after_infer_batches_records_graphs(
         next(batches)  # suspended at a yield: gradients stay on
         assert grad_enabled()
         for p in model.parameters():
-            p.zero_grad()
+            p.grad = None
         cross_entropy_loss(model.forward(Tensor(x[:4]), training=True,
                                          rng=rng), y).backward()
         assert all(p.grad is not None for p in model.parameters())
@@ -176,7 +178,7 @@ def test_training_between_or_after_infer_batches_records_graphs(
 def _step_gradients(model, x, y, seed):
     """Parameter gradients of one training step on (x, y)."""
     for p in model.parameters():
-        p.zero_grad()
+        p.grad = None
     cross_entropy_loss(model.forward(Tensor(x), training=True,
                                      rng=np.random.default_rng(seed)),
                        y).backward()
@@ -432,3 +434,31 @@ def test_ablation_variants_forward():
         model = build_adhdeepnet(cfg, seed=12)
         probs = model.predict_proba(np.zeros((1, 1, 19, 512), np.float32))
         np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-6)
+
+
+def test_every_tape_op_is_run_by_a_network(monkeypatch):
+    """Each ``tensor`` function that returns a Tensor runs in a desk
+    training step or a ``predict_proba`` of the network or one of its
+    ablation variants: the tape carries no op that no network reaches."""
+    ops = {name for name, fn in vars(tz).items()
+           if getattr(fn, "__module__", None) == tz.__name__
+           and getattr(fn, "__annotations__", {}).get("return") == "Tensor"}
+    assert {"mul", "linear", "spatial_first_stem", "dropout"} <= ops
+    called = set()
+    for name in ops:
+        def counted(*args, _name=name, _op=getattr(tz, name), **kwargs):
+            called.add(_name)
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(tz, name, counted)
+    trials = segment_all(generate_synthetic(1, 8.0, 1.0, seed=0))
+    hyperparams = {"learning_rate": 1e-3, "dropout_rate": 0.25,
+                   "batch_size": len(trials), "norm_rate": 1.0,
+                   "optimizer_kind": "Adam"}
+    x = np.stack([t.window for t in trials])[:, None]
+    for variant in ("full", "inxception-only", "se-only", "eegnet"):
+        config, build_fn = variant_config(variant, desk_config())
+        trainer = Trainer(config, epochs=1, build_fn=build_fn)
+        model, result = trainer.fit(trials, hyperparams, seed=0)
+        assert result.epochs_run == 1
+        model.predict_proba(x)
+    assert called == ops, f"never run: {sorted(ops - called)}"

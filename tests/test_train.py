@@ -316,7 +316,7 @@ def test_after_backward_only_the_gradients_stay_traced():
     x, y = _batch(8)
     _step_loss(model, x, y, seed=0).backward()  # warm caches and free lists
     for p in params:
-        p.zero_grad()
+        p.grad = None
     held = []  # keeps the loss alive past the measurement
 
     def step():
