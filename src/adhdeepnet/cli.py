@@ -45,15 +45,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .augment import enumerate_combos
-from .data import (CHANNELS, LABELS, WINDOW, PlanningError,
-                   atomic_write_text, canonical_json, generate_synthetic,
-                   load_dataset, save_dataset, segment_all, validation_slice)
+from .data import (PlanningError, atomic_write_text, canonical_json,
+                   check_synthetic, generate_synthetic, load_dataset,
+                   save_dataset, segment_all, validation_slice)
 from .evaluate import (ABLATION_VARIANTS, DEFAULT_HYPERPARAMS, ablation_run,
                        evaluate_no_da, evaluate_with_da)
-from .explain import DEFAULT_LAYER_TAGS, export_analysis
+from .explain import DEFAULT_GRID_SIZE, DEFAULT_LAYER_TAGS, export_analysis
 from .model import ModelConfig, build_adhdeepnet, desk_config
 from .nn import OPTIMIZERS
-from .optimize import TuningError, tune
+from .optimize import KAPPA_DEFAULT, TuningError, tune
 from .train import Trainer
 
 EXIT_OK = 0
@@ -67,7 +67,8 @@ _CHOICES = {"preset": tuple(_PRESETS), "mode": _MODES,
             "optimizer_kind": tuple(OPTIMIZERS)}
 
 _DEFAULT_BO = {"tune": True, "iterations": 25, "seed_points": 10,
-               "inner_epochs": 30, "inner_patience": 6, "kappa": 0.1}
+               "inner_epochs": 30, "inner_patience": 6,
+               "kappa": KAPPA_DEFAULT}
 
 _USER_ERRORS = (ValueError, OSError, PlanningError, TuningError)
 
@@ -252,9 +253,13 @@ def _prepare_out(config):
     return out
 
 
-def _check_subject_count(total):
-    if total < 2 or total % 2:
-        raise ValueError(f"subjects must be an even count >= 2, got {total}")
+def _check_cohort(subjects, seconds, separation):
+    """Refuse a synthetic cohort of ``subjects`` in all (half per class)
+    that ``generate_synthetic`` cannot build."""
+    if subjects < 2 or subjects % 2:
+        raise ValueError(f"subjects must be an even count >= 2, got "
+                         f"{subjects}")
+    check_synthetic(subjects // 2, seconds, separation)
 
 
 def _parse_synth_spec(source, default_seed):
@@ -276,7 +281,7 @@ def _parse_synth_spec(source, default_seed):
     if params["seed"] < 0:
         raise ValueError(f"bad synth spec value seed={params['seed']}: seed "
                          f"must be a non-negative integer")
-    _check_subject_count(params["subjects"])
+    _check_cohort(params["subjects"], params["seconds"], params["separation"])
     return params
 
 
@@ -300,12 +305,6 @@ def _resolve_data(config):
     return recordings
 
 
-# ModelConfig fields that the data fixes: field -> (value, what sets it)
-_SET_BY_DATA = {"channels": (len(CHANNELS), "the channels of a recording"),
-                "time_steps": (WINDOW, "the samples of a trial window"),
-                "classes": (len(LABELS), "the labels")}
-
-
 def _checked_override(key, value, default):
     """A ``--model`` value of the kind of its field's ``default``; raise
     ValueError naming ``model.overrides.<key>`` if no run can honour it."""
@@ -321,12 +320,7 @@ def _checked_override(key, value, default):
                              f"{len(default)} integers, got "
                              f"{json.dumps(value)}")
         return tuple(value)
-    value = _checked(where, value, default)
-    if key in _SET_BY_DATA and value != _SET_BY_DATA[key][0]:
-        fixed, source = _SET_BY_DATA[key]
-        raise ValueError(f"config field {where} must be {fixed}, set by "
-                         f"{source}, got {value}")
-    return value
+    return _checked(where, value, default)
 
 
 def _build_model_config(config):
@@ -350,7 +344,10 @@ def _build_model_config(config):
 
 def cmd_synth(config):
     opts = config.options
-    _check_subject_count(opts["subjects"])
+    if config.model["overrides"]:
+        raise ValueError("config field model.overrides has no effect: synth "
+                         "builds no model")
+    _check_cohort(opts["subjects"], opts["seconds"], opts["separation"])
     out = _prepare_out(config)
     _progress(f"synthesizing {opts['subjects']} subjects, {opts['seconds']} "
               f"s each, separation {opts['separation']}")
@@ -440,9 +437,17 @@ def _da_text(reports, sweep):
 
 def cmd_evaluate(config):
     model_config = _build_model_config(config)
+    opts, bo = config.options, config.bo
+    mode = opts["mode"]
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of "
+                         f"{', '.join(_MODES)}")
+    if config.combos and mode != "da":
+        raise ValueError(f"config field combos has no effect: only mode da "
+                         f"runs augmentation combos, and mode is {mode!r}")
+    combos = _select_combos(config.combos)
     out = _prepare_out(config)
     recordings = _resolve_data(config)
-    opts, bo = config.options, config.bo
     hyperparams = None if bo["tune"] else opts["hyperparams"]
     common = dict(k=opts["k"], seed=config.seed, config=model_config,
                   hyperparams=hyperparams,
@@ -454,7 +459,6 @@ def cmd_evaluate(config):
                   inner_patience=bo["inner_patience"],
                   final_epochs=opts["final_epochs"],
                   final_patience=opts["final_patience"])
-    mode = opts["mode"]
     _progress(f"evaluate mode={mode} k={common['k']} "
               f"tune={'on' if hyperparams is None else 'off'} "
               f"workers={config.workers}")
@@ -463,7 +467,6 @@ def cmd_evaluate(config):
         json_text = canonical_json(report.to_json_dict())
         text = report.render_text()
     elif mode == "da":
-        combos = _select_combos(config.combos)
         reports = evaluate_with_da(recordings, combos=combos, **common)
         sweep = reports.pop("_sweep")
         json_text = canonical_json(
@@ -471,16 +474,13 @@ def cmd_evaluate(config):
              "combos": {cid: r.to_json_dict()
                         for cid, r in reports.items()}})
         text = _da_text(reports, sweep)
-    elif mode == "ablation":
+    else:  # ablation
         variants = tuple(opts.get("variants", ABLATION_VARIANTS))
         reports = ablation_run(recordings, variants=variants, **common)
         json_text = canonical_json(
             {"mode": "ablation",
              "variants": {v: r.to_json_dict() for v, r in reports.items()}})
         text = "".join(reports[v].render_text() for v in variants)
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected one of "
-                         f"{', '.join(_MODES)}")
     atomic_write_text(out / "report.json", json_text)
     atomic_write_text(out / "report.txt", text)
     _progress(f"wrote {out / 'report.json'} and report.txt")
@@ -619,7 +619,8 @@ _COMMANDS = {
     "explain": _Command(
         cmd_explain, "export model analysis files",
         {"weights": "", "tags": list(DEFAULT_LAYER_TAGS),
-         "perplexity": 30.0, "iterations": 1000, "grid_size": 513},
+         "perplexity": 30.0, "iterations": 1000,
+         "grid_size": DEFAULT_GRID_SIZE},
         {**_DATA_FLAG,
          "--weights": _Flag("options", "weights", "trained weights", "FILE"),
          "--tags": _Flag("options", "tags",

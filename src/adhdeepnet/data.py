@@ -300,6 +300,21 @@ _BASE_STD = 10.0
 _OSC_STD = 3.0
 
 
+def check_synthetic(subjects_per_class, seconds_per_subject, separation):
+    """Raise ValueError naming the setting unless ``generate_synthetic``
+    can build a cohort from these settings."""
+    if not 0.0 <= separation <= 1.0:
+        raise ValueError(f"separation must be in [0,1], got {separation}")
+    if not np.isfinite(seconds_per_subject):
+        raise ValueError(f"seconds must be finite, got {seconds_per_subject}")
+    if seconds_per_subject * FS < WINDOW:
+        raise ValueError(f"seconds must cover one {WINDOW / FS:g} s trial "
+                         f"window, got {seconds_per_subject}")
+    if subjects_per_class < 1:
+        raise ValueError(f"need at least one subject per class, got "
+                         f"{subjects_per_class}")
+
+
 def generate_synthetic(subjects_per_class, seconds_per_subject, separation,
                        seed):
     """Build a labelled synthetic dataset with a slow-wave class contrast.
@@ -308,14 +323,10 @@ def generate_synthetic(subjects_per_class, seconds_per_subject, separation,
     oscillations. At frontal electrodes the positive class gets theta
     amplified and beta damped in proportion to ``separation``; the control
     class gets the reverse. ``separation=0`` makes the classes identically
-    distributed. Deterministic in (parameters, seed).
+    distributed. Deterministic in (parameters, seed); ``check_synthetic``
+    refuses the settings it cannot build.
     """
-    if not 0.0 <= separation <= 1.0:
-        raise ValueError(f"separation must be in [0,1], got {separation}")
-    if not np.isfinite(seconds_per_subject):
-        raise ValueError(f"seconds must be finite, got {seconds_per_subject}")
-    if subjects_per_class < 1 or seconds_per_subject * FS < WINDOW:
-        raise ValueError("need at least one subject and one 4 s window each")
+    check_synthetic(subjects_per_class, seconds_per_subject, separation)
     n = int(seconds_per_subject * FS)
     frontal_idx = [CHANNELS.index(ch) for ch in FRONTAL]
     recordings = []

@@ -26,9 +26,9 @@ import numpy as np
 
 from . import optimize
 from .augment import augment_training_set, enumerate_combos
-from .data import (LeakageError, aggregate_subject, atomic_write_text,
-                   check_disjoint, class_index, plan_folds, segment_all,
-                   validation_slice)
+from .data import (CHANNELS, LABELS, WINDOW, LeakageError,
+                   aggregate_subject, atomic_write_text, check_disjoint,
+                   class_index, plan_folds, segment_all, validation_slice)
 from .model import (ModelConfig, build_adhdeepnet, build_eegnet_baseline)
 from .train import Trainer
 
@@ -198,7 +198,9 @@ class EvalReport:
 
 def config_hash(config, extra=None):
     """Stable short hash of a model config plus protocol settings."""
-    payload = {"config": asdict(config)}
+    # the input shape is part of what a report depends on
+    payload = {"config": {"channels": len(CHANNELS), "time_steps": WINDOW,
+                          "classes": len(LABELS), **asdict(config)}}
     if extra:
         payload["extra"] = extra
     blob = json.dumps(payload, sort_keys=True, default=str)

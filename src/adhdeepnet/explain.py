@@ -14,7 +14,7 @@ are CSV for downstream tooling plus small self-contained SVG previews.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,8 @@ BANDS = {
 
 DEFAULT_GRID_SIZE = 513  # 0.125 Hz steps over [0, 64]
 DEFAULT_LAYER_TAGS = ("block1", "inxception", "attention")
+
+EXAGGERATION = 12.0  # t-SNE's scale of P in its early steps (see ``tsne``)
 
 # schematic top-view 10-20 electrode positions (x right, y front)
 ELECTRODE_XY = {
@@ -161,7 +163,6 @@ class Embedding2D:
     layer_tag: str
     initial_kl: float
     final_kl: float
-    kl_trace: list = field(default_factory=list)
 
 
 def _distances_from_gram(g, sq):
@@ -349,6 +350,9 @@ def _pca_init(g, scale=1e-4):
 def _tsne_setup(activations, perplexity):
     """Distinct rows, joint neighbor probabilities and PCA initialization.
 
+    The perplexity shrinks to max(2, (m - 1) / 3) when the m distinct rows
+    are too few to support the requested value.
+
     The cost is one n x n Gram matrix of the centred rows, built in float64
     one column chunk at a time (``_centred_gram``). Exact duplicates are
     found from the distances it gives (``_group_equal_rows``); only when
@@ -362,10 +366,6 @@ def _tsne_setup(activations, perplexity):
     if x.ndim != 2 or x.shape[1] < 2:
         raise ValueError(f"activations must be [N, d>=2], got {x.shape}")
     n = x.shape[0]
-    if n < 3 * perplexity:
-        raise ValueError(
-            f"{n} points cannot support perplexity {perplexity} "
-            f"(need N >= 3*perplexity)")
     g = _centred_gram(x)
 
     # Exact-duplicate rows must come out coincident, but the descent cannot
@@ -391,7 +391,7 @@ def _tsne_setup(activations, perplexity):
 
 
 def tsne(activations, perplexity=30.0, iterations=1000, labels=None,
-         layer_tag="", exaggeration=12.0, exaggeration_iters=250):
+         layer_tag=""):
     """Exact t-SNE to two dimensions.
 
     The set-up (``_tsne_setup``) needs one Gram matrix over the distinct
@@ -401,10 +401,12 @@ def tsne(activations, perplexity=30.0, iterations=1000, labels=None,
     is positive. Each descent step computes the Student-t kernel of the
     points once (``_tsne_kernel``), from coordinate differences into one
     of two reused [m, m] buffers, and the gradient (``_tsne_gradient``)
-    from it. The returned embedding carries the KL trace; the final KL is
-    always checked against the plain (non-exaggerated) similarity matrix.
+    from it. The first min(250, iterations // 3) steps run with P scaled
+    by ``EXAGGERATION``; the initial and final KL are taken against the
+    plain (non-exaggerated) similarity matrix.
     """
     _check_tsne_arguments(perplexity, iterations)
+    exaggeration_iters = min(250, iterations // 3)
     _, inverse, p, y = _tsne_setup(activations, perplexity)
     m = y.shape[0]
     lr = max(m / 12.0, 50.0)
@@ -413,9 +415,8 @@ def tsne(activations, perplexity=30.0, iterations=1000, labels=None,
     num, scratch = np.empty((m, m)), np.empty((m, m))
     _tsne_kernel(y, num, scratch)
     initial_kl = _kl_divergence(p, num, scratch)
-    kl_trace = [initial_kl]
 
-    p_eff = p * exaggeration
+    p_eff = p * EXAGGERATION
     for it in range(iterations):
         if it == exaggeration_iters:
             p_eff = p
@@ -427,17 +428,13 @@ def tsne(activations, perplexity=30.0, iterations=1000, labels=None,
         velocity = momentum * velocity - lr * gains * grad
         y = y + velocity
         y = y - y.mean(axis=0)
-        # the kernel at the new points serves the trace and the next step
-        _tsne_kernel(y, num, scratch)
-        if (it + 1) % 50 == 0:
-            kl_trace.append(_kl_divergence(p, num, scratch))
+        _tsne_kernel(y, num, scratch)  # serves the next step
 
     final_kl = _kl_divergence(p, num, scratch)
-    kl_trace.append(final_kl)
     points = y[inverse]
     return Embedding2D(points=points, labels=list(labels) if labels is not None
                        else [], layer_tag=layer_tag, initial_kl=initial_kl,
-                       final_kl=final_kl, kl_trace=kl_trace)
+                       final_kl=final_kl)
 
 
 # -- layer activations --------------------------------------------------------------
@@ -463,7 +460,7 @@ def layer_activations(model, trials, layer_tags=DEFAULT_LAYER_TAGS):
     not shrink under what the caller allocates next.
     """
     _check_layer_tags(model, layer_tags)
-    windows = [t.window[None] for t in trials]
+    windows = [t.window for t in trials]
     probe = {}
 
     def measure(tag):
@@ -593,9 +590,10 @@ def export_analysis(model, trials, out_dir, layer_tags=DEFAULT_LAYER_TAGS,
                     grid_size=DEFAULT_GRID_SIZE):
     """Run every analysis on a frozen model and write the output files.
 
-    The embedding perplexity shrinks automatically when there are too few
-    trials to support the requested value. The perplexity, the iteration
-    count and the layer tags are checked before any file is written.
+    The embedding perplexity shrinks when there are too few distinct
+    activation rows to support the requested value (``tsne``). The
+    perplexity, the iteration count and the layer tags are checked before
+    any file is written.
     Returns {name: path}.
     """
     import os
@@ -619,15 +617,12 @@ def export_analysis(model, trials, out_dir, layer_tags=DEFAULT_LAYER_TAGS,
     write_maps_svg(maps, path)
     written["maps_svg"] = path
 
-    effective = min(float(perplexity), max(2.0, (len(trials) - 1) / 3.0))
-    exaggeration_iters = min(250, iterations // 3)
     activations = layer_activations(model, trials, layer_tags)
     labels = [t.label for t in trials]
     for tag in layer_tags:
-        embedding = tsne(activations[tag], perplexity=effective,
+        embedding = tsne(activations[tag], perplexity=perplexity,
                          iterations=iterations, labels=labels,
-                         layer_tag=tag,
-                         exaggeration_iters=exaggeration_iters)
+                         layer_tag=tag)
         path = os.path.join(out_dir, f"tsne_{tag}.csv")
         write_embedding_csv(embedding, path)
         written[f"tsne_{tag}"] = path

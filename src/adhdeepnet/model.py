@@ -17,8 +17,12 @@ import numpy as np
 
 from . import nn
 from . import tensor as tz
+from .data import CHANNELS, LABELS, WINDOW
 from .tensor import ShapeError, Tensor, load_tensors, save_tensors
 
+
+# the [electrodes, samples] shape of a trial window, as the data fixes it
+INPUT_SHAPE = (len(CHANNELS), WINDOW)
 
 # Trials per inference forward. Every op of the forward treats each row on
 # its own, so a trial's logits do not depend on this size or on the trials
@@ -31,13 +35,24 @@ class ConfigError(ValueError):
     """A model configuration violates a structural invariant."""
 
 
+def stack_windows(windows):
+    """The float32 [N,1,E,T] network input for a batch of N [E,T] trial
+    windows (a sequence, or an [N,E,T] array), cast while stacking: one
+    copy. Raises ShapeError naming the shape of a window that is not
+    ``INPUT_SHAPE``."""
+    for window in windows:
+        if np.shape(window) != INPUT_SHAPE:
+            raise ShapeError(f"a trial window must be shaped {INPUT_SHAPE}, "
+                             f"got {np.shape(window)}")
+    return np.stack(windows, dtype=np.float32)[:, None]
+
+
 @dataclass
 class ModelConfig:
-    """Widths, kernels and flags that determine the built topology."""
+    """Widths, kernels and flags that determine the built topology; the
+    input shape and the class count are the data's (``INPUT_SHAPE``,
+    ``data.LABELS``)."""
 
-    channels: int = 19
-    time_steps: int = 512
-    classes: int = 2
     temporal_filters: int = 64
     temporal_kernel: int = 64
     depth_multiplier: int = 2
@@ -57,15 +72,13 @@ class ModelConfig:
         return self.temporal_filters * self.depth_multiplier
 
     def validate(self):
-        for name in ("channels", "temporal_filters", "temporal_kernel",
+        for name in ("temporal_filters", "temporal_kernel",
                      "depth_multiplier", "branch_width", "branch_pool_width",
                      "post_sep_kernel", "se_ratio"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got "
                                   f"{getattr(self, name)}")
         checks = [
-            (self.time_steps >= 2, "time_steps must be at least 2"),
-            (self.classes >= 2, "classes must be at least 2"),
             (0.0 <= self.dropout_rate < 1.0, "dropout_rate must be in [0,1)"),
             (len(self.branch_sep_kernels) == 2,
              "branch_sep_kernels needs exactly two widths"),
@@ -201,18 +214,20 @@ class Model:
                 keep(x.data)
         return x
 
-    def infer(self, x, capture=None):
+    def infer(self, windows, capture=None):
         """Run N trials through ``forward(training=False)``,
         ``INFERENCE_BATCH`` at a time; yields (start, logits) per batch,
-        with the logits as an array. ``x`` is an [N,1,E,T] array or a
-        sequence of N [1,E,T] arrays, stacked one batch at a time.
-        ``capture`` maps tags to callables, each called as keep(start,
-        data) with the batch's output of its stage as that stage returns.
-        Each forward records no graph; the grad-off state never spans a
-        ``yield``, so a caller may train between batches."""
+        with the logits as an array. ``windows`` holds the N [E,T] trial
+        windows, as a sequence or an [N,E,T] array; ``stack_windows``
+        builds each batch's input from them. ``capture`` maps tags to
+        callables, each called as keep(start, data) with the batch's
+        output of its stage as that stage returns. Each forward records no
+        graph; the grad-off state never spans a ``yield``, so a caller may
+        train between batches."""
         capture = capture or {}
-        for start in range(0, len(x), INFERENCE_BATCH):
-            batch = Tensor(x[start:start + INFERENCE_BATCH])
+        for start in range(0, len(windows), INFERENCE_BATCH):
+            batch = Tensor(stack_windows(
+                windows[start:start + INFERENCE_BATCH]))
             taps = {tag: functools.partial(keep, start)
                     for tag, keep in capture.items()}
             with tz.no_grad():
@@ -222,10 +237,11 @@ class Model:
             yield start, logits
             del logits  # hold no batch while the next one runs
 
-    def predict_proba(self, x):
-        """Class probabilities for a [N,1,E,T] array, inference mode."""
+    def predict_proba(self, windows):
+        """Class probabilities [N,2] for N [E,T] trial windows (as
+        ``infer`` takes them), inference mode."""
         return np.concatenate([tz.softmax(logits, axis=1)
-                               for _, logits in self.infer(x)])
+                               for _, logits in self.infer(windows)])
 
     # -- parameters -----------------------------------------------------------
 
@@ -284,8 +300,7 @@ class Model:
 
     def describe(self):
         """Topology table: one row per stage with output shape and params."""
-        x = Tensor(np.zeros(
-            (1, 1, self.config.channels, self.config.time_steps), np.float32))
+        x = Tensor(np.zeros((1, 1, *INPUT_SHAPE), np.float32))
         rows = []
         with tz.no_grad():
             for name, layer in self.stages:
@@ -317,7 +332,7 @@ def build_adhdeepnet(config=None, seed=0):
         ("bn1", nn.BatchNorm(c.temporal_filters)),
         ("spatial_depthwise", nn.DepthwiseConv(c.temporal_filters,
                                                c.depth_multiplier,
-                                               (c.channels, 1), "valid",
+                                               (len(CHANNELS), 1), "valid",
                                                rng)),
         ("bn2", nn.BatchNorm(block1_out)),
         ("elu1", nn.Activation()),
@@ -345,7 +360,7 @@ def build_adhdeepnet(config=None, seed=0):
         ("dropout2", nn.Dropout(c.dropout_rate)),
         ("gap", nn.GlobalAvgPool()),
         ("flatten", Flatten()),
-        ("classifier", nn.Dense(width, c.classes, rng)),
+        ("classifier", nn.Dense(width, len(LABELS), rng)),
     ]
     capture_tags = {
         "block1": "dropout1",
@@ -361,14 +376,11 @@ def build_eegnet_baseline(config=None, seed=0):
     rng = np.random.default_rng(seed)
     c = config
     f1, d, f2 = 8, 2, 16
-    pooled = c.time_steps // 4 // 8
-    if pooled < 1:
-        raise ConfigError(
-            f"time_steps {c.time_steps} too short for the 4x and 8x pools")
+    pooled = WINDOW // 4 // 8
     stages = [
         ("temporal_conv", nn.TemporalConv(1, f1, (1, 64), "same", rng)),
         ("bn1", nn.BatchNorm(f1)),
-        ("spatial_depthwise", nn.DepthwiseConv(f1, d, (c.channels, 1),
+        ("spatial_depthwise", nn.DepthwiseConv(f1, d, (len(CHANNELS), 1),
                                                "valid", rng)),
         ("bn2", nn.BatchNorm(f1 * d)),
         ("elu1", nn.Activation()),
@@ -380,24 +392,17 @@ def build_eegnet_baseline(config=None, seed=0):
         ("pool2", nn.AvgPool((1, 8))),
         ("dropout2", nn.Dropout(c.dropout_rate)),
         ("flatten", Flatten()),
-        ("classifier", nn.Dense(f2 * pooled, c.classes, rng)),
+        ("classifier", nn.Dense(f2 * pooled, len(LABELS), rng)),
     ]
     capture_tags = {"block1": "dropout1", "inxception": "dropout1",
                     "attention": "elu2"}
     return Model(config, stages, capture_tags, "classifier")
 
 
-def predict_segment(model, trial):
-    """Probability pair (p_positive, p_control) for one 19x512 trial."""
-    data = trial.data if isinstance(trial, Tensor) else np.asarray(trial)
-    e, t = model.config.channels, model.config.time_steps
-    if data.shape == (e, t):
-        data = data.reshape(1, 1, e, t)
-    if data.shape != (1, 1, e, t):
-        raise ShapeError(
-            f"predict_segment expects one trial shaped ({e},{t}) or "
-            f"(1,1,{e},{t}), got {data.shape}")
-    probs = model.predict_proba(data.astype(np.float32, copy=False))
+def predict_segment(model, window):
+    """Probability pair (p_positive, p_control) for one [E,T] trial
+    window."""
+    probs = model.predict_proba([window])
     return float(probs[0, 0]), float(probs[0, 1])
 
 

@@ -263,8 +263,6 @@ def cross_entropy_loss(logits: Tensor, labels: Tensor) -> Tensor:
     ``labels`` must be one-hot rows. The result is the batch SUM of the
     per-sample losses (callers average if they want a mean).
     """
-    if not isinstance(labels, Tensor):
-        labels = Tensor(np.asarray(labels, dtype=logits.dtype))
     if logits.shape != labels.shape:
         raise ShapeError(
             f"logits {logits.shape} and labels {labels.shape} must match")

@@ -8,10 +8,11 @@ Early stopping watches the validation loss (inference mode) and restores
 the best-epoch weights. A non-finite training or validation loss stops the
 fit with ``DivergenceError``.
 
-Fits and scores take trial lists and stack one batch at a time: a
-training step stacks the windows of its batch's trials, and the
-validation loss and ``predict_proba`` hand the trials' window views to
-``Model.infer``. No fit or score holds a stacked copy of its whole set.
+Fits and scores take trial lists and stack one batch at a time with
+``model.stack_windows``: a training step stacks the windows of its batch's
+trials, and the validation loss and ``predict_proba`` hand the trials'
+windows to ``Model.infer``, which stacks each inference batch. No fit or
+score holds a stacked copy of its whole set.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import build_adhdeepnet
+from .model import build_adhdeepnet, stack_windows
 from .nn import (apply_max_norm, cross_entropy_loss, finite_positive,
                  make_optimizer)
 from .tensor import Tensor
@@ -43,20 +44,8 @@ def _labels(trials):
     return np.asarray([t.label_vector for t in trials], dtype=np.float32)
 
 
-def trials_to_arrays(trials):
-    """Stack trials into network inputs [N,1,E,T] and one-hot labels [N,2]."""
-    if len(trials) == 0:
-        raise ValueError("no trials to stack")
-    # cast while stacking: one [N,E,T] copy, not a stack and then its cast
-    x = np.stack([t.window for t in trials], dtype=np.float32)[:, None]
-    return x, _labels(trials)
-
-
 def _windows(trials):
-    """Each trial's window as a [1,E,T] float32 view (a copy only when the
-    window is another dtype), for ``Model.infer`` to stack a batch at a
-    time."""
-    return [t.window.astype(np.float32, copy=False)[None] for t in trials]
+    return [t.window for t in trials]
 
 
 @dataclass
@@ -132,10 +121,11 @@ class Trainer:
                 idx = perm[start:start + batch_size]
                 if len(idx) == 1 and len(perm) > 1:
                     continue  # a singleton batch has no batch statistics
-                xb, yb = trials_to_arrays([train_trials[i] for i in idx])
+                batch = [train_trials[i] for i in idx]
                 loss = cross_entropy_loss(
-                    model.forward(Tensor(xb), training=True, rng=rng),
-                    Tensor(yb))
+                    model.forward(Tensor(stack_windows(_windows(batch))),
+                                  training=True, rng=rng),
+                    Tensor(_labels(batch)))
                 total += _finite_loss(float(loss.data), epoch, "training")
                 seen += len(idx)
                 scaled = loss * (1.0 / len(idx))

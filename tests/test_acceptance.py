@@ -194,7 +194,7 @@ def test_criterion_3_structure_describe_and_param_counts():
         model = build_adhdeepnet(ModelConfig(), seed=0)
         out = model.predict_proba(
             np.random.default_rng(0).standard_normal(
-                (1, 1, 19, 512)).astype(np.float32))
+                (1, 19, 512)).astype(np.float32))
         assert out.shape == (1, 2)
 
         golden = Path(__file__).with_name("golden_describe.txt").read_text()

@@ -66,6 +66,42 @@ def test_synth_rejects_odd_subject_count(tmp_path, capsys):
     assert "even" in capsys.readouterr().err
 
 
+SHORT_WINDOW = "seconds must cover one 4 s trial window, got 2.0"
+BAD_SEPARATION = "separation must be in [0,1], got 1.5"
+
+
+# non-finite seconds: test_non_finite_synth_seconds_is_user_error
+@pytest.mark.parametrize("argv,message", [
+    (("synth", "--subjects", "2", "--seconds", "2"), SHORT_WINDOW),
+    (("synth", "--subjects", "2", "--separation", "1.5"), BAD_SEPARATION),
+    (("train", "--preset", "desk", "--data", "synth:subjects=2,seconds=2"),
+     SHORT_WINDOW),
+    (("train", "--preset", "desk", "--data",
+      "synth:subjects=2,separation=1.5"), BAD_SEPARATION),
+], ids=["synth-short", "synth-separation", "train-spec-short",
+        "train-spec-separation"])
+def test_bad_synthetic_cohort_is_refused_before_any_output(tmp_path, capsys,
+                                                           argv, message):
+    out = tmp_path / "run"
+    code = run_cli(*argv, "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+    assert not (out / "run_config.json").exists()
+
+
+def test_synth_refuses_model_overrides_before_any_output(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = run_cli("synth", "--subjects", "2", "--seconds", "8",
+                   "--out", str(out), "--model", "channels=18",
+                   "--model", "dropout_rate=0.9")
+    assert code == 1
+    assert ("error: config field model.overrides has no effect: synth "
+            "builds no model") in capsys.readouterr().err
+    assert not (out / "run_config.json").exists()
+
+
 # -- evaluate ----------------------------------------------------------------
 
 
@@ -176,6 +212,28 @@ def test_unknown_combo_id_is_user_error(dataset_dir, tmp_path, capsys):
                                   "--mode", "da", "--combos", "C99"))
     assert code == 1
     assert "C99" in capsys.readouterr().err
+    assert not (tmp_path / "da" / "run_config.json").exists()
+
+
+@pytest.mark.parametrize("argv,mode", [
+    (("evaluate", "--combos", "C1"), "no-da"),
+    (("evaluate", "--mode", "ablation", "--combos", "C1,C10"), "ablation"),
+    (("ablate", "--config", "CONFIG"), "ablation"),
+], ids=["evaluate-no-da", "evaluate-ablation", "ablate-config"])
+def test_combos_outside_da_mode_are_refused_before_any_output(
+        tmp_path, capsys, argv, mode):
+    config = tmp_path / "config.json"
+    config.write_text('{"combos": ["C1"]}')
+    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    out = tmp_path / "run"
+    code = run_cli(*argv, "--preset", "desk", "--data",
+                   "synth:subjects=4,seconds=8,seed=1", "--k", "2",
+                   "--no-tune", "--epochs", "1", "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert (f"error: config field combos has no effect: only mode da runs "
+            f"augmentation combos, and mode is '{mode}'") in err
+    assert not (out / "run_config.json").exists()
 
 
 def test_ablate_variant_subdirectories(dataset_dir, tmp_path):
@@ -523,6 +581,7 @@ def test_non_finite_synth_seconds_is_user_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "error: seconds must be finite, got " in err
     assert "Traceback" not in err
+    assert not (tmp_path / "run" / "run_config.json").exists()
 
 
 @pytest.mark.parametrize("spec,message", [
@@ -834,9 +893,10 @@ BAD_OVERRIDES = [
     ("dropout_rate=0.55", "config field model.overrides.dropout_rate has no "
      "effect: every fit takes its dropout rate from the dropout_rate "
      "hyperparameter (--dropout)"),
-    ("channels=18", "config field model.overrides.channels must be 19"),
-    ("classes=3", "config field model.overrides.classes must be 2"),
-    ("time_steps=100", "config field model.overrides.time_steps must be 512"),
+    # the data fixes the input shape and the class count: no config field
+    ("channels=18", "unknown model config field 'channels'"),
+    ("classes=3", "unknown model config field 'classes'"),
+    ("time_steps=100", "unknown model config field 'time_steps'"),
 ]
 
 
@@ -844,9 +904,9 @@ BAD_OVERRIDES = [
                          ids=[override for override, _ in BAD_OVERRIDES])
 def test_bad_model_override_is_refused_before_the_data(tmp_path, capsys,
                                                        override, message):
-    """Each override is checked for its field's kind and range, and for
-    what the data fixes, before the data loads: the manifest here does
-    not exist, and no output directory is made."""
+    """Each override is checked for its field, its field's kind and its
+    range before the data loads: the manifest here does not exist, and no
+    output directory is made."""
     out = tmp_path / "run"
     code = run_cli("train", "--preset", "desk", "--data",
                    str(tmp_path / "missing.json"), "--out", str(out),
@@ -865,9 +925,9 @@ def test_every_model_command_checks_overrides_first(tmp_path, capsys, argv):
     out = tmp_path / "run"
     code = run_cli(*argv, "--preset", "desk", "--data",
                    str(tmp_path / "missing.json"), "--out", str(out),
-                   "--model", "channels=18")
+                   "--model", "use_se=1")
     assert code == 1
-    assert "model.overrides.channels" in capsys.readouterr().err
+    assert "model.overrides.use_se" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -322,7 +322,8 @@ def test_tsne_is_deterministic():
     first = tsne(x, perplexity=15.0, iterations=120)
     second = tsne(x, perplexity=15.0, iterations=120)
     assert np.array_equal(first.points, second.points)
-    assert first.kl_trace == second.kl_trace
+    assert (first.initial_kl, first.final_kl) \
+        == (second.initial_kl, second.final_kl)
 
 
 def test_tsne_keeps_duplicates_coincident():
@@ -336,8 +337,6 @@ def test_tsne_keeps_duplicates_coincident():
 
 def test_tsne_argument_errors():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="perplexity"):
-        tsne(rng.normal(size=(20, 5)), perplexity=30.0)
     with pytest.raises(ValueError, match="N, d"):
         tsne(rng.normal(size=(50, 1)), perplexity=10.0)
     # exp(entropy) >= 1, so the neighbor search could never reach these
@@ -346,12 +345,30 @@ def test_tsne_argument_errors():
             tsne(rng.normal(size=(30, 5)), perplexity=perplexity)
 
 
-def test_tsne_kl_trace_descends_overall():
+def test_tsne_kl_descends_overall():
     x, _ = two_clusters(n_per=40, seed=3)
     embedding = tsne(x, perplexity=12.0, iterations=400)
-    assert embedding.kl_trace[0] == embedding.initial_kl
-    assert embedding.kl_trace[-1] == embedding.final_kl
-    assert embedding.final_kl < embedding.kl_trace[0]
+    assert embedding.final_kl < embedding.initial_kl
+
+
+def _same_embedding(a, b):
+    return (np.array_equal(a.points, b.points)
+            and (a.initial_kl, a.final_kl) == (b.initial_kl, b.final_kl))
+
+
+def test_tsne_shrinks_the_perplexity_to_the_distinct_rows():
+    """A perplexity the m distinct rows cannot support runs as
+    max(2, (m - 1) / 3); one they can support runs as given."""
+    x = np.random.default_rng(0).normal(size=(20, 5))
+    shrunk = tsne(x, perplexity=30.0, iterations=60)
+    assert _same_embedding(shrunk, tsne(x, perplexity=19 / 3, iterations=60))
+    assert not _same_embedding(shrunk,
+                               tsne(x, perplexity=5.0, iterations=60))
+    x[10:] = x[0]  # 11 distinct rows
+    assert _same_embedding(tsne(x, perplexity=30.0, iterations=60),
+                           tsne(x, perplexity=10 / 3, iterations=60))
+    few = tsne(x[:5], perplexity=30.0, iterations=60)  # 5 rows: perplexity 2
+    assert _same_embedding(few, tsne(x[:5], perplexity=2.0, iterations=60))
 
 
 def test_tsne_rejects_non_finite_rows():
@@ -417,8 +434,7 @@ def test_tsne_of_negated_activations_is_bitwise_equal():
     assert np.all(y[np.abs(y).argmax(axis=0), [0, 1]] > 0)
     first = tsne(x, perplexity=12.0, iterations=120)
     second = tsne(-x, perplexity=12.0, iterations=120)
-    assert np.array_equal(first.points, second.points)
-    assert first.kl_trace == second.kl_trace
+    assert _same_embedding(first, second)
 
 
 def test_tsne_folds_signed_zeros_into_one_point():
@@ -515,7 +531,7 @@ def test_layer_activations_do_not_depend_on_batch_size(monkeypatch):
 def test_layer_activations_stack_the_batches_bitwise():
     model = tiny_model(seed=2)
     trials = synthetic_trials(3, 48, seed=5)[:70]  # batch 32 leaves 6 over
-    windows = np.stack([t.window for t in trials])[:, None, :, :]
+    windows = np.stack([t.window for t in trials])
     acts = layer_activations(model, trials)
     tags = tuple(acts)
     batches = {tag: [] for tag in tags}
@@ -588,7 +604,6 @@ def test_activations_feed_tsne_without_shape_errors():
     acts = layer_activations(model, trials)
     for tag, matrix in acts.items():
         embedding = tsne(matrix, perplexity=3.0, iterations=150,
-                         exaggeration_iters=50,
                          labels=[t.label for t in trials], layer_tag=tag)
         assert embedding.points.shape == (len(trials), 2)
         assert embedding.final_kl < embedding.initial_kl

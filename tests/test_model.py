@@ -12,7 +12,8 @@ import pytest
 from adhdeepnet import model as model_module
 from adhdeepnet.model import (ConfigError, ModelConfig, build_adhdeepnet,
                               build_eegnet_baseline, desk_config,
-                              parameter_count, predict_segment)
+                              parameter_count, predict_segment,
+                              stack_windows)
 from adhdeepnet.data import generate_synthetic, segment_all
 from adhdeepnet.evaluate import variant_config
 from adhdeepnet.nn import cross_entropy_loss
@@ -39,7 +40,7 @@ def test_forward_shape_and_softmax():
     x = Tensor(np.zeros((1, 1, 19, 512), np.float32))
     logits = model.forward(x, training=False)
     assert logits.shape == (1, 2)
-    probs = model.predict_proba(np.zeros((3, 1, 19, 512), np.float32))
+    probs = model.predict_proba(np.zeros((3, 19, 512), np.float32))
     assert probs.shape == (3, 2)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
@@ -48,7 +49,7 @@ def test_infer_batches_cover_a_ragged_input_in_order(monkeypatch):
     monkeypatch.setattr(model_module, "INFERENCE_BATCH", 4)
     model = build_adhdeepnet(small_config(), seed=0)
     x = np.random.default_rng(1).standard_normal(
-        (11, 1, 19, 512)).astype(np.float32)
+        (11, 19, 512)).astype(np.float32)
     seen = []
     capture = {"block1": lambda start, data: seen.append((start, len(data)))}
     batches = list(model.infer(x, capture=capture))
@@ -57,10 +58,10 @@ def test_infer_batches_cover_a_ragged_input_in_order(monkeypatch):
     assert seen == [(0, 4), (4, 4), (8, 3)]
     for start, logits in batches:
         assert isinstance(logits, np.ndarray)
-        single = model.forward(Tensor(x[start:start + len(logits)]),
+        single = model.forward(Tensor(x[start:start + len(logits), None]),
                                training=False).data
         np.testing.assert_array_equal(logits, single)
-    # a sequence of [1,E,T] windows is stacked one batch at a time
+    # a list of [E,T] windows is stacked one batch at a time, as the array
     windows = [w for w in x]
     for (_, want), (_, got) in zip(batches, model.infer(windows)):
         assert_same_bytes(got, want)
@@ -70,7 +71,7 @@ def test_infer_holds_no_batch_while_the_next_one_runs(monkeypatch):
     monkeypatch.setattr(model_module, "INFERENCE_BATCH", 2)
     model = build_adhdeepnet(small_config(), seed=0)
     x = np.random.default_rng(2).standard_normal(
-        (4, 1, 19, 512)).astype(np.float32)
+        (4, 19, 512)).astype(np.float32)
     held = []
     batches = model.infer(list(x), capture={
         "block1": lambda _, data: held.append(weakref.ref(data))})
@@ -119,12 +120,12 @@ def test_infer_matches_a_taped_forward_bitwise(preset):
     model = build_adhdeepnet(
         desk_config() if preset == "desk" else ModelConfig(), seed=5)
     x = np.random.default_rng(5).standard_normal(
-        (3, 1, 19, 512)).astype(np.float32)
+        (3, 19, 512)).astype(np.float32)
     captured, want = {}, {}
     [(_, logits)] = list(model.infer(x, capture={
         tag: lambda _, data, tag=tag: captured.__setitem__(tag, data.copy())
         for tag in model.capture_tags}))
-    taped = model.forward(Tensor(x), training=False, capture={
+    taped = model.forward(Tensor(x[:, None]), training=False, capture={
         tag: lambda data, tag=tag: want.__setitem__(tag, data.copy())
         for tag in model.capture_tags})
     assert taped.requires_grad
@@ -146,7 +147,7 @@ def test_probabilities_do_not_depend_on_the_inference_batch(monkeypatch,
         model = build(config, seed=3)
     n = 40
     x = np.random.default_rng(1).standard_normal(
-        (n, 1, 19, 512)).astype(np.float32)
+        (n, 19, 512)).astype(np.float32)
     probs = {}
     for batch in (1, 2, 3, 7, 32, n):
         monkeypatch.setattr(model_module, "INFERENCE_BATCH", batch)
@@ -160,7 +161,7 @@ def test_training_between_or_after_infer_batches_records_graphs(
     monkeypatch.setattr(model_module, "INFERENCE_BATCH", 2)
     model = build_adhdeepnet(small_config(), seed=3)
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((6, 1, 19, 512)).astype(np.float32)
+    x = rng.standard_normal((6, 19, 512)).astype(np.float32)
     y = Tensor(np.eye(2, dtype=np.float32)[[0, 1, 0, 1]])
     batches = model.infer(x)
     for _ in range(2):
@@ -168,7 +169,7 @@ def test_training_between_or_after_infer_batches_records_graphs(
         assert grad_enabled()
         for p in model.parameters():
             p.grad = None
-        cross_entropy_loss(model.forward(Tensor(x[:4]), training=True,
+        cross_entropy_loss(model.forward(Tensor(x[:4, None]), training=True,
                                          rng=rng), y).backward()
         assert all(p.grad is not None for p in model.parameters())
     batches.close()  # abandoned with a batch left
@@ -176,10 +177,10 @@ def test_training_between_or_after_infer_batches_records_graphs(
 
 
 def _step_gradients(model, x, y, seed):
-    """Parameter gradients of one training step on (x, y)."""
+    """Parameter gradients of one training step on windows x and labels y."""
     for p in model.parameters():
         p.grad = None
-    cross_entropy_loss(model.forward(Tensor(x), training=True,
+    cross_entropy_loss(model.forward(Tensor(x[:, None]), training=True,
                                      rng=np.random.default_rng(seed)),
                        y).backward()
     return {name: p.grad for name, p in model.named_parameters().items()}
@@ -187,7 +188,7 @@ def _step_gradients(model, x, y, seed):
 
 def test_inference_in_another_thread_leaves_training_graphs_intact():
     rng = np.random.default_rng(4)
-    x = rng.standard_normal((4, 1, 19, 512)).astype(np.float32)
+    x = rng.standard_normal((4, 19, 512)).astype(np.float32)
     y = Tensor(np.eye(2, dtype=np.float32)[[0, 1, 0, 1]])
     want = _step_gradients(build_adhdeepnet(desk_config(), seed=4), x, y, 4)
     inferring, trained = threading.Event(), threading.Event()
@@ -242,7 +243,7 @@ def test_conv_kernels_call_no_einsum(monkeypatch):
     monkeypatch.setattr(np, "einsum", guarded)
     model = build_adhdeepnet(desk_config(), seed=6)
     x = np.random.default_rng(6).standard_normal(
-        (4, 1, 19, 512)).astype(np.float32)
+        (4, 19, 512)).astype(np.float32)
     y = Tensor(np.eye(2, dtype=np.float32)[[0, 1, 0, 1]])
     _step_gradients(model, x, y, 6)
     next(model.infer(x))
@@ -256,7 +257,7 @@ def test_full_model_inference_keeps_no_graph():
     assert model_module.INFERENCE_BATCH == 32
     model = build_adhdeepnet(ModelConfig(), seed=0)
     x = np.random.default_rng(0).standard_normal(
-        (128, 1, 19, 512)).astype(np.float32)
+        (128, 19, 512)).astype(np.float32)
     tracemalloc.start()
     try:
         model.predict_proba(x)
@@ -300,7 +301,7 @@ def test_eegnet_baseline_smaller():
     eegnet = build_eegnet_baseline(ModelConfig())
     assert eegnet.parameter_count() == 1922
     assert eegnet.parameter_count() < FULL_PARAM_COUNT
-    probs = eegnet.predict_proba(np.zeros((2, 1, 19, 512), np.float32))
+    probs = eegnet.predict_proba(np.zeros((2, 19, 512), np.float32))
     assert probs.shape == (2, 2)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
@@ -346,6 +347,15 @@ def test_predict_segment_rejects_bad_shape():
     model = build_adhdeepnet(small_config(), seed=6)
     with pytest.raises(ShapeError):
         predict_segment(model, np.zeros((18, 512), np.float32))
+    with pytest.raises(ShapeError):  # one [E,T] window, not a batch of one
+        predict_segment(model, np.zeros((1, 1, 19, 512), np.float32))
+
+
+def test_stack_windows_refuses_another_shape_naming_both():
+    windows = [np.zeros((19, 512), np.float32),
+               np.zeros((18, 512), np.float32)]
+    with pytest.raises(ShapeError, match=r"\(19, 512\), got \(18, 512\)"):
+        stack_windows(windows)
 
 
 def test_describe_rows_match_forward_shapes():
@@ -424,7 +434,7 @@ def test_desk_config_valid_and_small():
     cfg.validate()
     model = build_adhdeepnet(cfg, seed=11)
     assert model.parameter_count() < 30_000
-    probs = model.predict_proba(np.zeros((1, 1, 19, 512), np.float32))
+    probs = model.predict_proba(np.zeros((1, 19, 512), np.float32))
     np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-6)
 
 
@@ -432,7 +442,7 @@ def test_ablation_variants_forward():
     for flags in [(True, False), (False, True), (False, False)]:
         cfg = small_config(use_inxception=flags[0], use_se=flags[1])
         model = build_adhdeepnet(cfg, seed=12)
-        probs = model.predict_proba(np.zeros((1, 1, 19, 512), np.float32))
+        probs = model.predict_proba(np.zeros((1, 19, 512), np.float32))
         np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-6)
 
 
@@ -454,7 +464,7 @@ def test_every_tape_op_is_run_by_a_network(monkeypatch):
     hyperparams = {"learning_rate": 1e-3, "dropout_rate": 0.25,
                    "batch_size": len(trials), "norm_rate": 1.0,
                    "optimizer_kind": "Adam"}
-    x = np.stack([t.window for t in trials])[:, None]
+    x = [t.window for t in trials]
     for variant in ("full", "inxception-only", "se-only", "eegnet"):
         config, build_fn = variant_config(variant, desk_config())
         trainer = Trainer(config, epochs=1, build_fn=build_fn)

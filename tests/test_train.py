@@ -8,13 +8,14 @@ import weakref
 import numpy as np
 import pytest
 
+from adhdeepnet import explain, train
 from adhdeepnet.data import Trial, generate_synthetic, segment_all
 from adhdeepnet import model as model_module
-from adhdeepnet.model import ModelConfig, build_adhdeepnet, desk_config
+from adhdeepnet.model import (ModelConfig, build_adhdeepnet, desk_config,
+                              stack_windows)
 from adhdeepnet.nn import cross_entropy_loss
 from adhdeepnet.tensor import Tensor
-from adhdeepnet.train import (DivergenceError, FitResult, Trainer,
-                              trials_to_arrays)
+from adhdeepnet.train import DivergenceError, FitResult, Trainer
 
 from conftest import assert_same_bytes, retained_backward
 
@@ -36,26 +37,76 @@ HP = {"learning_rate": 1e-3, "dropout_rate": 0.2, "batch_size": 8,
       "norm_rate": 1.0, "optimizer_kind": "Adam"}
 
 
-def test_trials_to_arrays_shapes_and_labels():
+def _counting_stack_windows(monkeypatch):
+    """Route every ``model.stack_windows`` call, as ``model`` and ``train``
+    resolve it, through a wrapper; returns the list of stacked inputs."""
+    stacked = []
+
+    def counted(windows):
+        stacked.append(stack_windows(windows))
+        return stacked[-1]
+
+    monkeypatch.setattr(model_module, "stack_windows", counted)
+    monkeypatch.setattr(train, "stack_windows", counted)
+    return stacked
+
+
+def test_fit_steps_stack_each_window_with_its_label(monkeypatch):
     trials = cohort_trials(1, 8)  # 2 subjects x 2 windows
-    x, y = trials_to_arrays(trials)
-    assert x.shape == (4, 1, 19, 512)
-    assert x.dtype == np.float32
-    assert y.shape == (4, 2)
-    for trial, row in zip(trials, y):
+    stacked = _counting_stack_windows(monkeypatch)
+    labels = []
+
+    def loss(logits, y):
+        labels.append(y.data)
+        return cross_entropy_loss(logits, y)
+
+    monkeypatch.setattr(train, "cross_entropy_loss", loss)
+    Trainer(tiny_config(), epochs=1).fit(trials, dict(HP, batch_size=4),
+                                         seed=0)
+    [x], [y] = stacked, labels
+    assert x.shape == (4, 1, 19, 512) and x.dtype == np.float32
+    assert y.shape == (4, 2) and y.dtype == np.float32
+    for window, row in zip(x[:, 0], y):
+        [trial] = [t for t in trials if np.array_equal(t.window, window)]
         expected = (1.0, 0.0) if trial.label == "ADHD" else (0.0, 1.0)
         assert tuple(row) == expected
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_trials_to_arrays_casts_while_stacking(dtype):
+def test_stack_windows_casts_while_stacking(dtype):
     rng = np.random.default_rng(7)
-    trials = [Trial("s1", i, rng.standard_normal((19, 512)).astype(dtype),
-                    "ADHD" if i % 2 else "HC") for i in range(5)]
-    x, _ = trials_to_arrays(trials)
-    want = np.stack([t.window for t in trials])[:, None].astype(np.float32)
+    windows = [rng.standard_normal((19, 512)).astype(dtype)
+               for _ in range(5)]
+    x = stack_windows(windows)
+    want = np.stack(windows)[:, None].astype(np.float32)
     assert_same_bytes(x, want)
     assert x.flags.c_contiguous
+    assert_same_bytes(stack_windows(np.stack(windows)), want)
+
+
+def test_every_fit_and_score_batch_is_built_by_stack_windows(monkeypatch):
+    """One desk fit step, ``predict_proba``, ``evaluate_loss`` and
+    ``layer_activations`` each stack every batch with
+    ``model.stack_windows``, once per batch."""
+    trials = cohort_trials(1, 80)  # 2 subjects x 20 windows
+    stacked = _counting_stack_windows(monkeypatch)
+    trainer = Trainer(desk_config(), epochs=1)
+
+    def sizes(run):
+        stacked.clear()
+        run()
+        return [len(x) for x in stacked]
+
+    fitted = []
+    assert sizes(lambda: fitted.extend(trainer.fit(
+        trials, dict(HP, batch_size=len(trials)), seed=0))) == [40]
+    model = fitted[0]
+    assert model_module.INFERENCE_BATCH == 32
+    assert sizes(lambda: trainer.predict_proba(model, trials)) == [32, 8]
+    assert sizes(lambda: trainer.evaluate_loss(model, trials)) == [32, 8]
+    # a one-trial probe sizes the matrices before the batches run
+    assert sizes(lambda: explain.layer_activations(model, trials)) \
+        == [1, 32, 8]
 
 
 def test_fixed_seed_reproduces_loss_trajectory_bit_identically():
@@ -68,7 +119,7 @@ def test_fixed_seed_reproduces_loss_trajectory_bit_identically():
     _, third = trainer.fit(trials, HP, seed=12)
     assert first.train_losses != third.train_losses
     assert np.all(np.isfinite(first.train_losses))
-    assert isinstance(model.predict_proba(trials_to_arrays(trials)[0]),
+    assert isinstance(model.predict_proba([t.window for t in trials]),
                       np.ndarray)
 
 
@@ -191,7 +242,7 @@ def test_evaluate_loss_matches_mean_cross_entropy_of_probabilities(
     trials = cohort_trials(1, 24, seed=6)[:11]  # batch 4 leaves 3 over
     trainer = Trainer(tiny_config())
     model = build_adhdeepnet(tiny_config(), seed=3)
-    _, y = trials_to_arrays(trials)
+    y = np.asarray([t.label_vector for t in trials])
     probs = trainer.predict_proba(model, trials).astype(np.float64)
     expected = -np.mean(np.log(np.sum(probs * y, axis=1)))
     # float32 probabilities carry ~1e-7 relative error into each log
